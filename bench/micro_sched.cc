@@ -14,10 +14,9 @@
 //    that its O(rounds * n log n) re-sorts make timing it pointless);
 //  * steady_state — scheduler-level reschedule/drain/refill cycles at a
 //    constant queue depth, comparing the legacy configuration (linear
-//    tape scan, per-call extension-list rebuild) against the cached fast
-//    paths (indexed selection heap + persistent extension lists) and the
-//    batched/epoch policy knobs. This is the deep-queue regime the fast
-//    paths target: the persistent cache only pays off across reschedules.
+//    tape scan) against the cached fast path (indexed selection heap) and
+//    the batched/epoch policy knobs. This is the deep-queue regime the
+//    fast paths target.
 //
 // --check runs the CI divergence gate instead of the full grid: a 10k-deep
 // steady-state run under ValidatingScheduler with validate_envelope on
@@ -291,7 +290,6 @@ struct SteadyRow {
   double served_per_reschedule = 0;
   double rounds_per_reschedule = 0;
   double rescored_per_reschedule = 0;
-  double rebuilds_per_reschedule = 0;
   double epoch_reuses_per_reschedule = 0;
 };
 
@@ -355,13 +353,11 @@ struct SteadyMode {
 };
 
 std::vector<SteadyMode> SteadyModes() {
-  // legacy — the pre-optimization configuration: linear tape scan each
-  // round, extension lists rebuilt and re-sorted on every reschedule.
+  // legacy — linear tape scan each extension round.
   SchedulerOptions legacy;
   legacy.use_selection_heap = false;
-  legacy.persistent_ext_cache = false;
-  // cached — the equivalence-preserving fast paths (identical schedules).
-  SchedulerOptions cached;  // defaults: heap + persistent cache on
+  // cached — the equivalence-preserving fast path (identical schedules).
+  SchedulerOptions cached;  // defaults: selection heap on
   // cached+batched — policy knobs stacked on top: arrivals coalesced in
   // batches of 256, one envelope reused for up to 4 tape visits.
   SchedulerOptions batched = cached;
@@ -394,7 +390,7 @@ std::vector<SteadyRow> RunSteadyComparison(const std::vector<int>& depths) {
     double legacy_ns = 0;
     for (const SteadyMode& mode : SteadyModes()) {
       SteadyDriver driver(tapes, depth, mode.options);
-      // Reach steady state (master cache built, envelope persisted)
+      // Reach steady state (scratch buffers warm, envelope persisted)
       // before timing.
       for (int i = 0; i < 3; ++i) driver.Cycle(nullptr);
 
@@ -437,8 +433,6 @@ std::vector<SteadyRow> RunSteadyComparison(const std::vector<int>& depths) {
           per_visit(after.extension_rounds - before.extension_rounds);
       row.rescored_per_reschedule =
           per_visit(after.tapes_rescored - before.tapes_rescored);
-      row.rebuilds_per_reschedule =
-          per_visit(after.master_rebuilds - before.master_rebuilds);
       row.epoch_reuses_per_reschedule =
           per_visit(after.epoch_reuses - before.epoch_reuses);
       rows.push_back(row);
@@ -453,8 +447,8 @@ void PrintSteadyComparison(const std::vector<SteadyRow>& rows) {
   std::cout << std::setw(8) << "depth" << std::setw(16) << "mode"
             << std::setw(16) << "ns/resched" << std::setw(10) << "speedup"
             << std::setw(10) << "served" << std::setw(10) << "rounds"
-            << std::setw(12) << "rescored" << std::setw(10) << "rebuilds"
-            << std::setw(8) << "epochs" << "\n";
+            << std::setw(12) << "rescored" << std::setw(8) << "epochs"
+            << "\n";
   for (const SteadyRow& row : rows) {
     std::cout << std::setw(8) << row.depth << std::setw(16) << row.mode
               << std::setw(16) << std::fixed << std::setprecision(0)
@@ -464,7 +458,6 @@ void PrintSteadyComparison(const std::vector<SteadyRow>& rows) {
               << row.served_per_reschedule << std::setw(10)
               << std::setprecision(1) << row.rounds_per_reschedule
               << std::setw(12) << row.rescored_per_reschedule
-              << std::setw(10) << row.rebuilds_per_reschedule
               << std::setw(8) << row.epoch_reuses_per_reschedule << "\n";
   }
 }
@@ -485,7 +478,7 @@ CheckStats RunDivergenceCheck() {
   const int depth = 10000;
   const int kVisits = 6;
   SchedRig rig(tapes, /*num_replicas=*/2);
-  SchedulerOptions options;  // heap + persistent cache on by default
+  SchedulerOptions options;  // selection heap on by default
   options.validate_envelope = true;
   options.arrival_batch = 256;
   ValidatingScheduler sched(
@@ -559,7 +552,6 @@ void WriteResults(const std::string& results_dir,
     w.Field("served_per_reschedule", row.served_per_reschedule);
     w.Field("extension_rounds_per_reschedule", row.rounds_per_reschedule);
     w.Field("tapes_rescored_per_reschedule", row.rescored_per_reschedule);
-    w.Field("master_rebuilds_per_reschedule", row.rebuilds_per_reschedule);
     w.Field("epoch_reuses_per_reschedule",
             row.epoch_reuses_per_reschedule);
     w.EndObject();

@@ -59,7 +59,6 @@ bool Catalog::MarkReplicaDead(BlockId block, TapeId tape) {
   dead_[idx] = 1;
   ++dead_count_;
   --live_count_[static_cast<size_t>(block)];
-  ++generation_;
   return true;
 }
 
@@ -79,7 +78,6 @@ int64_t Catalog::MarkTapeDead(TapeId tape,
     }
   }
   dead_count_ += count;
-  if (count > 0) ++generation_;
   return count;
 }
 
@@ -106,7 +104,6 @@ void Catalog::AddReplica(BlockId block, const Replica& replica) {
   for (size_t b = static_cast<size_t>(block) + 1; b < offsets_.size(); ++b) {
     ++offsets_[b];
   }
-  ++generation_;
 }
 
 void Catalog::RepairReplica(BlockId block, TapeId old_tape,
@@ -127,7 +124,6 @@ void Catalog::RepairReplica(BlockId block, TapeId old_tape,
   dead_[idx] = 0;
   --dead_count_;
   ++live_count_[static_cast<size_t>(block)];
-  ++generation_;
 }
 
 }  // namespace tapejuke

@@ -131,16 +131,6 @@ class Catalog {
   /// Total replicas currently masked dead.
   int64_t dead_replicas() const { return dead_count_; }
 
-  /// Mutation generation: incremented by every successful MarkReplicaDead /
-  /// MarkTapeDead / AddReplica / RepairReplica. Consumers that cache
-  /// replica pointers or liveness across calls (the envelope scheduler's
-  /// persistent extension lists) compare generations to decide between an
-  /// incremental update and a full rebuild: AddReplica reallocates the CSR
-  /// storage (invalidating Replica pointers), and dead-count deltas can net
-  /// to zero across a mask + repair pair, so neither pointer identity nor
-  /// dead_replicas() is a safe staleness signal on its own.
-  int64_t generation() const { return generation_; }
-
   /// Masks the copy of `block` on `tape` dead (a permanent media error on
   /// that region). Returns true if the replica existed and was newly
   /// masked; false if absent or already dead.
@@ -185,7 +175,6 @@ class Catalog {
   /// by every mask/resurrect/add, so HasLiveReplica/LiveReplicaCount are
   /// O(1) instead of scanning the block's span.
   std::vector<int32_t> live_count_;
-  int64_t generation_ = 0;
 };
 
 }  // namespace tapejuke

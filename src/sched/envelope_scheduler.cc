@@ -159,12 +159,13 @@ TapeId SelectBestTapeFromHeap(const std::vector<TapeScore>& score,
 /// *max* element (the envelope edge), so a flat vector with a tracked max
 /// index is enough. Ties on position resolve to the latest insertion
 /// (matching multimap::rbegin, which lands on the last-inserted element
-/// among equal keys).
+/// among equal keys). Items point at the kernel's input and unscheduled
+/// request vectors, which stay unchanged for the whole kernel run.
 struct AssignedList {
   struct Item {
     Position position;
     int64_t seq;
-    Request request;
+    const Request* request;
   };
 
   std::vector<Item> items;
@@ -173,8 +174,14 @@ struct AssignedList {
 
   bool empty() const { return items.empty(); }
 
+  void Clear() {
+    items.clear();
+    max_index = 0;
+    next_seq = 0;
+  }
+
   void Add(Position position, const Request& request) {
-    items.push_back(Item{position, next_seq++, request});
+    items.push_back(Item{position, next_seq++, &request});
     // >= : among equal positions the later insertion wins (seq is higher).
     if (items.size() == 1 || position >= items[max_index].position) {
       max_index = items.size() - 1;
@@ -228,9 +235,9 @@ void CheckEnvelopeResultsEqual(
   }
 }
 
-/// Per-tape candidates for the pending requests satisfiable within
-/// `envelope` (the slow walk over pending x replicas; the persistent-cache
-/// fast path is BuildCandidatesFromMaster).
+/// The naive candidate walk over pending x live replicas: positions in
+/// pending order, repeated once per request. Oracle for
+/// EnvelopeScheduler::BuildEnvelopeCandidates.
 std::vector<TapeCandidate> CandidatesWithinEnvelope(
     const Catalog& catalog, const std::deque<Request>& pending,
     const std::vector<Position>& envelope, int64_t block_mb,
@@ -255,9 +262,9 @@ std::vector<TapeCandidate> CandidatesWithinEnvelope(
   return candidates;
 }
 
-/// Debug oracle: candidates read off the master cache must match the slow
-/// pending x replicas walk (counts, oldest-request flags, and position
-/// multisets — the master's are sorted, the walk's are in pending order).
+/// Debug oracle: the slot-ordered candidates must match the naive walk —
+/// counts, oldest-request flags, and positions, which must be exactly the
+/// walk's distinct positions in ascending order.
 void CheckCandidatesMatchSlowWalk(
     const std::vector<TapeCandidate>& candidates, const Catalog& catalog,
     const std::deque<Request>& pending,
@@ -267,15 +274,16 @@ void CheckCandidatesMatchSlowWalk(
       catalog, pending, envelope, block_mb, num_tapes);
   TJ_CHECK_EQ(candidates.size(), slow.size());
   for (size_t t = 0; t < slow.size(); ++t) {
+    TJ_CHECK_EQ(candidates[t].tape, slow[t].tape);
     TJ_CHECK_EQ(candidates[t].num_requests, slow[t].num_requests)
-        << "master candidate count diverged on tape" << slow[t].tape;
+        << "candidate count diverged on tape" << slow[t].tape;
     TJ_CHECK_EQ(candidates[t].serves_oldest, slow[t].serves_oldest);
-    std::vector<Position> a = candidates[t].positions;
-    std::vector<Position> b = slow[t].positions;
-    std::sort(a.begin(), a.end());
-    std::sort(b.begin(), b.end());
-    TJ_CHECK(a == b) << "master candidate positions diverged on tape"
-                     << slow[t].tape;
+    std::vector<Position> distinct = slow[t].positions;
+    std::sort(distinct.begin(), distinct.end());
+    distinct.erase(std::unique(distinct.begin(), distinct.end()),
+                   distinct.end());
+    TJ_CHECK(candidates[t].positions == distinct)
+        << "candidate positions diverged on tape" << slow[t].tape;
   }
 }
 
@@ -283,7 +291,8 @@ void CheckCandidatesMatchSlowWalk(
 
 /// Mutable state shared by the two extension kernels: the result being
 /// built, the per-tape assigned lists consumed by step 5, and the stable
-/// post-step-2 unscheduled vector.
+/// post-step-2 unscheduled vector. BuildInitialEnvelope resets it, so one
+/// instance is reused across reschedules without reallocating.
 struct EnvelopeScheduler::KernelState {
   EnvelopeResult result;
   /// Per-tape assigned requests with their replica positions (several
@@ -292,6 +301,8 @@ struct EnvelopeScheduler::KernelState {
   /// Requests left unscheduled by step 2, in arrival order. Never
   /// reordered; the kernels track progress through side bitmaps.
   std::vector<Request> unscheduled;
+  /// In-envelope replicas of one request (TryAbsorb and step 5).
+  std::vector<const Replica*> inside;
   int64_t shrinks_done = 0;
   int64_t max_shrinks = 0;
   /// When false, the per-request assignment map is not materialized (the
@@ -308,17 +319,18 @@ struct EnvelopeScheduler::KernelState {
   }
 };
 
-/// Reusable kernel temporaries: survive across reschedules so the hot path
-/// performs no per-call vector allocation once the buffers are warm.
+/// Reusable reschedule temporaries: survive across reschedules so the hot
+/// path performs no per-call allocation once the buffers are warm.
 struct EnvelopeScheduler::KernelScratch {
+  KernelState state;
+  std::vector<Request> requests;  ///< MajorReschedule's pending snapshot
   std::vector<std::vector<Ext>> ext;
+  SlotCountingSort ext_sort;  ///< orders `ext` by slot, one group per tape
   std::vector<TapeScore> score;
   std::vector<char> dirty;
   std::vector<char> done;
   std::vector<size_t> enclosed;
   std::vector<std::pair<size_t, double>> group;
-  std::vector<RequestId> ids;
-  FlatMap<RequestId, size_t> uid_of;
   IndexedMaxHeap<double, std::less<double>> heap;
 };
 
@@ -377,7 +389,8 @@ bool EnvelopeScheduler::TryAbsorb(const Request& request, KernelState* state,
                                   EnvelopeCounters* counters) const {
   const int64_t block_mb = jukebox_->config().block_size_mb;
   const auto& env = state->result.envelope;
-  std::vector<const Replica*> inside;
+  auto& inside = state->inside;
+  inside.clear();
   for (const Replica& replica : catalog_->ReplicasOf(request.block)) {
     if (!catalog_->IsAlive(replica)) continue;
     if (replica.position + block_mb <=
@@ -402,10 +415,17 @@ void EnvelopeScheduler::BuildInitialEnvelope(
 
   state->result.envelope.assign(static_cast<size_t>(num_tapes), 0);
   state->result.scheduled_per_tape.assign(static_cast<size_t>(num_tapes), 0);
+  state->result.initially_unscheduled.clear();
+  // A fresh map, as its iteration order depends on its capacity history.
+  state->result.assignment = {};
   if (state->want_assignment) {
     state->result.assignment.reserve(requests.size());
   }
   state->assigned.resize(static_cast<size_t>(num_tapes));
+  for (AssignedList& list : state->assigned) list.Clear();
+  state->unscheduled.clear();
+  state->shrinks_done = 0;
+  state->assigns_done = 0;
   state->max_shrinks =
       static_cast<int64_t>(requests.size()) * num_tapes + 16;
   auto& env = state->result.envelope;
@@ -475,7 +495,7 @@ void EnvelopeScheduler::RunShrinkLoop(KernelState* state,
       if (edge.position + block_mb != env[static_cast<size_t>(a)]) continue;
       bool movable = false;
       for (const Replica& replica :
-           catalog_->ReplicasOf(edge.request.block)) {
+           catalog_->ReplicasOf(edge.request->block)) {
         if (!catalog_->IsAlive(replica)) continue;
         if (replica.tape != a &&
             replica.position + block_mb <=
@@ -499,8 +519,9 @@ void EnvelopeScheduler::RunShrinkLoop(KernelState* state,
     ++counters->shrink_moves;
 
     auto& on_a = state->assigned[static_cast<size_t>(shrink_tape)];
-    const Request moved = on_a.Max().request;
-    std::vector<const Replica*> inside;
+    const Request& moved = *on_a.Max().request;
+    auto& inside = state->inside;
+    inside.clear();
     for (const Replica& replica : catalog_->ReplicasOf(moved.block)) {
       if (!catalog_->IsAlive(replica)) continue;
       if (replica.tape != shrink_tape &&
@@ -525,110 +546,53 @@ void EnvelopeScheduler::RunShrinkLoop(KernelState* state,
   }
 }
 
-EnvelopeScheduler::EnvelopeResult EnvelopeScheduler::RunIncrementalKernel(
+void EnvelopeScheduler::RunIncrementalKernel(
     const std::vector<Request>& requests, EnvelopeCounters* counters,
-    const MasterCache* master, bool want_assignment) const {
+    bool want_assignment, KernelState* state_ptr) const {
   const int32_t num_tapes = jukebox_->num_tapes();
   const int64_t block_mb = jukebox_->config().block_size_mb;
   const TapeId mounted = jukebox_->mounted_tape();
   const TimingModel& model = jukebox_->model();
 
-  KernelState state;
+  KernelState& state = *state_ptr;
   state.want_assignment = want_assignment;
   BuildInitialEnvelope(requests, &state, counters);
   auto& env = state.result.envelope;
   auto& counts = state.result.scheduled_per_tape;
   const std::vector<Request>& unscheduled = state.unscheduled;
   const size_t n = unscheduled.size();
-  if (n == 0) return std::move(state.result);
+  if (n == 0) return;
 
   // Steps 3-6, incremental form. The per-tape extension lists are built
-  // once (copied pre-sorted off the persistent cache when available);
-  // scheduled entries are lazily dropped, and a tape's prefix scan is
+  // once; scheduled entries are lazily dropped, and a tape's prefix scan is
   // re-run only when its envelope edge moved or its list lost entries
   // (`dirty`).
+  //
+  // Each list holds every live replica of the unscheduled requests on its
+  // tape, in (position, uid) order. SlotCountingSort, fed in uid order,
+  // produces exactly that order without comparisons. Under
+  // validate_envelope the first round's oracle pass checks every list
+  // against a from-scratch SortExtList build.
   KernelScratch& scratch = Scratch();
   auto& ext = scratch.ext;
   ext.resize(static_cast<size_t>(num_tapes));
-  for (auto& list : ext) list.clear();
-
-  if (master == nullptr) {
-    for (size_t i = 0; i < n; ++i) {
-      for (const Replica& replica :
-           catalog_->ReplicasOf(unscheduled[i].block)) {
-        if (!catalog_->IsAlive(replica)) continue;
-        TJ_DCHECK(replica.position >=
-                  env[static_cast<size_t>(replica.tape)]);
-        ext[static_cast<size_t>(replica.tape)].push_back(
-            Ext{replica.position, i, &replica});
-      }
+  auto& sort = scratch.ext_sort;
+  sort.Reset(ext.size(), jukebox_->slots_per_tape(), block_mb);
+  for (size_t i = 0; i < n; ++i) {
+    for (const Replica& replica :
+         catalog_->ReplicasOf(unscheduled[i].block)) {
+      if (!catalog_->IsAlive(replica)) continue;
+      TJ_DCHECK(replica.position >= env[static_cast<size_t>(replica.tape)]);
+      sort.Count(static_cast<size_t>(replica.tape), replica);
     }
-    for (auto& list : ext) SortExtList(&list);
-  } else {
-    // The refreshed master lists are pending x live replicas sorted by
-    // (position, id): drop the step-2-absorbed requests while copying and
-    // translate ids to uids. Equal-position runs (duplicate requests for
-    // one block) may be uid-disordered when pending is not id-sorted
-    // (failover re-arrivals), so re-sort them by uid.
-    TJ_DCHECK(master->valid && master->removed.empty());
-    // uid translation. When the unscheduled snapshot is id-sorted (the
-    // common case — failover re-deliveries are the only source of
-    // disorder), the uid of an id is its rank in the id array (binary
-    // search, no hashing), and the master's (position, id) order already
-    // is (position, uid) order, so no per-run re-sort is needed either.
-    auto& ids = scratch.ids;
-    ids.clear();
-    ids.reserve(n);
-    bool ids_sorted = true;
-    for (size_t i = 0; i < n; ++i) {
-      if (i > 0 && unscheduled[i].id <= ids.back()) ids_sorted = false;
-      ids.push_back(unscheduled[i].id);
-    }
-    if (ids_sorted) {
-      for (TapeId t = 0; t < num_tapes; ++t) {
-        TJ_DCHECK(master->tail[static_cast<size_t>(t)].empty());
-        auto& list = ext[static_cast<size_t>(t)];
-        for (const MasterEntry& entry :
-             master->sorted[static_cast<size_t>(t)]) {
-          const auto it = std::lower_bound(ids.begin(), ids.end(), entry.id);
-          if (it == ids.end() || *it != entry.id) continue;  // absorbed
-          TJ_DCHECK(entry.position >= env[static_cast<size_t>(t)]);
-          list.push_back(Ext{entry.position,
-                             static_cast<size_t>(it - ids.begin()),
-                             entry.replica});
-        }
-      }
-    } else {
-      // Disordered pending: translate through a hash map and re-sort the
-      // equal-position runs (duplicate requests for one block) by uid.
-      auto& uid_of = scratch.uid_of;
-      uid_of.clear();
-      uid_of.reserve(n);
-      for (size_t i = 0; i < n; ++i) uid_of.insert(unscheduled[i].id, i);
-      for (TapeId t = 0; t < num_tapes; ++t) {
-        TJ_DCHECK(master->tail[static_cast<size_t>(t)].empty());
-        auto& list = ext[static_cast<size_t>(t)];
-        for (const MasterEntry& entry :
-             master->sorted[static_cast<size_t>(t)]) {
-          const auto it = uid_of.find(entry.id);
-          if (it == uid_of.end()) continue;  // absorbed by step 2
-          TJ_DCHECK(entry.position >= env[static_cast<size_t>(t)]);
-          list.push_back(Ext{entry.position, it->second, entry.replica});
-        }
-        for (size_t k = 0; k + 1 < list.size();) {
-          size_t j = k + 1;
-          while (j < list.size() && list[j].position == list[k].position) {
-            ++j;
-          }
-          if (j - k > 1) {
-            std::sort(
-                list.begin() + static_cast<std::ptrdiff_t>(k),
-                list.begin() + static_cast<std::ptrdiff_t>(j),
-                [](const Ext& a, const Ext& b) { return a.uid < b.uid; });
-          }
-          k = j;
-        }
-      }
+  }
+  for (size_t t = 0; t < ext.size(); ++t) ext[t].resize(sort.Offsets(t));
+  for (size_t i = 0; i < n; ++i) {
+    for (const Replica& replica :
+         catalog_->ReplicasOf(unscheduled[i].block)) {
+      if (!catalog_->IsAlive(replica)) continue;
+      const size_t t = static_cast<size_t>(replica.tape);
+      ext[t][sort.Place(t, replica)] = Ext{replica.position, i, &replica};
     }
   }
 
@@ -782,7 +746,6 @@ EnvelopeScheduler::EnvelopeResult EnvelopeScheduler::RunIncrementalKernel(
 
     RunShrinkLoop(&state, counters, &dirty);
   }
-  return std::move(state.result);
 }
 
 EnvelopeScheduler::EnvelopeResult EnvelopeScheduler::RunReferenceKernel(
@@ -862,11 +825,10 @@ EnvelopeScheduler::EnvelopeResult EnvelopeScheduler::RunReferenceKernel(
 
 EnvelopeScheduler::EnvelopeResult EnvelopeScheduler::ComputeUpperEnvelope(
     const std::vector<Request>& requests) const {
-  // Master-free on purpose: this entry point must be a pure function of
-  // (requests, drive state, catalog) — tests and benchmarks call it without
-  // a live scheduler history.
-  return RunIncrementalKernel(requests, &counters_, /*master=*/nullptr,
-                              /*want_assignment=*/true);
+  KernelState& state = Scratch().state;
+  RunIncrementalKernel(requests, &counters_, /*want_assignment=*/true,
+                       &state);
+  return std::move(state.result);
 }
 
 EnvelopeScheduler::EnvelopeResult
@@ -880,175 +842,45 @@ void EnvelopeScheduler::CrossCheckEnvelope(
     const std::vector<Request>& requests) const {
   EnvelopeCounters incremental_counters;
   EnvelopeCounters reference_counters;
-  const EnvelopeResult incremental = RunIncrementalKernel(
-      requests, &incremental_counters, nullptr, /*want_assignment=*/true);
+  KernelState& state = Scratch().state;
+  RunIncrementalKernel(requests, &incremental_counters,
+                       /*want_assignment=*/true, &state);
   const EnvelopeResult reference =
       RunReferenceKernel(requests, &reference_counters);
-  CheckEnvelopeResultsEqual(incremental, reference);
+  CheckEnvelopeResultsEqual(state.result, reference);
   TJ_CHECK_EQ(incremental_counters.extension_rounds,
               reference_counters.extension_rounds)
       << "kernels took different numbers of extension rounds";
 }
 
-void EnvelopeScheduler::InsertMaster(const Request& request) {
-  if (!options_.persistent_ext_cache || !master_.valid) return;
-  // Resurrection: a lazily-removed id re-entering pending (sweep trims,
-  // fault re-deliveries) still has its sorted entries in place, and they
-  // are identical as long as the generation check holds — unmasking them
-  // is the whole update. (If the catalog moved meanwhile, the stale
-  // entries are never read: the next refresh rebuilds.)
-  if (master_.removed.erase(request.id) > 0) return;
-  for (const Replica& replica : catalog_->ReplicasOf(request.block)) {
-    if (!catalog_->IsAlive(replica)) continue;
-    master_.tail[static_cast<size_t>(replica.tape)].push_back(
-        MasterEntry{replica.position, request.id, &replica});
-  }
-}
-
-void EnvelopeScheduler::RemoveMasterId(RequestId id) {
-  if (!options_.persistent_ext_cache || !master_.valid) return;
-  master_.removed.insert(id);
-}
-
-void EnvelopeScheduler::RemoveMasterExtracted() {
-  if (!options_.persistent_ext_cache || !master_.valid) return;
-  for (const ServiceEntry& entry : sweep_.forward()) {
-    for (const Request& request : entry.requests) {
-      master_.removed.insert(request.id);
-    }
-  }
-  for (const ServiceEntry& entry : sweep_.reverse()) {
-    for (const Request& request : entry.requests) {
-      master_.removed.insert(request.id);
-    }
-  }
-}
-
-void EnvelopeScheduler::RebuildMaster() {
-  const size_t num_tapes = static_cast<size_t>(jukebox_->num_tapes());
-  master_.sorted.resize(num_tapes);
-  master_.tail.resize(num_tapes);
-  for (auto& list : master_.sorted) list.clear();
-  for (auto& list : master_.tail) list.clear();
-  master_.removed.clear();
+const std::vector<TapeCandidate>& EnvelopeScheduler::BuildEnvelopeCandidates(
+    const std::vector<Position>& envelope) {
+  const int64_t block_mb = jukebox_->config().block_size_mb;
+  candidate_builder_.Begin(*jukebox_);
+  const RequestId oldest = pending_.front().id;
   for (const Request& request : pending_) {
     for (const Replica& replica : catalog_->ReplicasOf(request.block)) {
       if (!catalog_->IsAlive(replica)) continue;
-      master_.sorted[static_cast<size_t>(replica.tape)].push_back(
-          MasterEntry{replica.position, request.id, &replica});
+      if (replica.position + block_mb <=
+          envelope[static_cast<size_t>(replica.tape)]) {
+        candidate_builder_.Add(replica, request.id == oldest);
+      }
     }
   }
-  for (auto& list : master_.sorted) {
-    std::sort(list.begin(), list.end(),
-              [](const MasterEntry& a, const MasterEntry& b) {
-                return a.position < b.position ||
-                       (a.position == b.position && a.id < b.id);
-              });
-  }
-  master_.generation = catalog_->generation();
-  master_.valid = true;
-  ++counters_.master_rebuilds;
-}
-
-void EnvelopeScheduler::RefreshMaster() {
-  if (!options_.persistent_ext_cache) return;
-  if (!master_.valid || master_.generation != catalog_->generation()) {
-    RebuildMaster();
-    return;
-  }
-  const auto by_position_id = [](const MasterEntry& a, const MasterEntry& b) {
-    return a.position < b.position ||
-           (a.position == b.position && a.id < b.id);
-  };
-  const size_t num_tapes = static_cast<size_t>(jukebox_->num_tapes());
-  for (size_t t = 0; t < num_tapes; ++t) {
-    auto& base = master_.sorted[t];
-    auto& tail = master_.tail[t];
-    if (!master_.removed.empty()) {
-      const auto is_removed = [&](const MasterEntry& e) {
-        return master_.removed.contains(e.id);
-      };
-      base.erase(std::remove_if(base.begin(), base.end(), is_removed),
-                 base.end());
-      // A request can arrive and be removed between two refreshes, so the
-      // tail must be filtered too.
-      tail.erase(std::remove_if(tail.begin(), tail.end(), is_removed),
-                 tail.end());
-    }
-    if (!tail.empty()) {
-      std::sort(tail.begin(), tail.end(), by_position_id);
-      const auto middle =
-          static_cast<std::ptrdiff_t>(base.size());
-      base.insert(base.end(), tail.begin(), tail.end());
-      std::inplace_merge(base.begin(), base.begin() + middle, base.end(),
-                         by_position_id);
-      tail.clear();
-    }
-  }
-  master_.removed.clear();
-}
-
-std::vector<TapeCandidate> EnvelopeScheduler::BuildCandidatesFromMaster(
-    const std::vector<Position>& envelope) const {
-  const int32_t num_tapes = jukebox_->num_tapes();
-  const int64_t block_mb = jukebox_->config().block_size_mb;
-  std::vector<TapeCandidate> candidates(static_cast<size_t>(num_tapes));
-  const RequestId oldest = pending_.front().id;
-  // The cache may be unrefreshed here (epoch fast path): lazily-removed
-  // ids are skipped and the unsorted arrival tails are scanned linearly,
-  // so the result still mirrors pending x live replicas exactly. Right
-  // after a refresh both sets are empty and this is a pure prefix read.
-  const bool masked = !master_.removed.empty();
-  for (TapeId t = 0; t < num_tapes; ++t) {
-    TapeCandidate& c = candidates[static_cast<size_t>(t)];
-    c.tape = t;
-    const auto& list = master_.sorted[static_cast<size_t>(t)];
-    // In-envelope prefix: position + block_mb <= envelope[t].
-    const Position limit = envelope[static_cast<size_t>(t)] - block_mb;
-    const auto end = std::upper_bound(
-        list.begin(), list.end(), limit,
-        [](Position p, const MasterEntry& e) { return p < e.position; });
-    c.positions.reserve(static_cast<size_t>(end - list.begin()));
-    for (auto it = list.begin(); it != end; ++it) {
-      if (masked && master_.removed.contains(it->id)) continue;
-      c.positions.push_back(it->position);
-      if (it->id == oldest) c.serves_oldest = true;
-    }
-    for (const MasterEntry& entry : master_.tail[static_cast<size_t>(t)]) {
-      if (entry.position > limit) continue;
-      if (masked && master_.removed.contains(entry.id)) continue;
-      c.positions.push_back(entry.position);
-      if (entry.id == oldest) c.serves_oldest = true;
-    }
-    c.num_requests = static_cast<int64_t>(c.positions.size());
+  const std::vector<TapeCandidate>& candidates = candidate_builder_.Finish();
+  if (options_.validate_envelope) {
+    CheckCandidatesMatchSlowWalk(candidates, *catalog_, pending_, envelope,
+                                 block_mb, jukebox_->num_tapes());
   }
   return candidates;
 }
 
 TapeId EnvelopeScheduler::TryEpochReschedule() {
-  if (options_.persistent_ext_cache && master_.valid &&
-      master_.generation != catalog_->generation()) {
-    // A catalog mutation landed mid-epoch (single-replica media error,
-    // repair completing, replica added): the cached lists may hold dead
-    // replicas, miss new ones, and their entry pointers may dangle after
-    // a CSR reallocation. Rebuild before reading; the persisted envelope
-    // itself stays reusable, since the candidate reads below re-derive
-    // servability from live replicas only.
-    RebuildMaster();
-  }
-  const bool from_master = options_.persistent_ext_cache && master_.valid;
-  std::vector<TapeCandidate> candidates =
-      from_master ? BuildCandidatesFromMaster(envelope_)
-                  : CandidatesWithinEnvelope(*catalog_, pending_, envelope_,
-                                             jukebox_->config().block_size_mb,
-                                             jukebox_->num_tapes());
-  if (from_master && options_.validate_envelope) {
-    // The unrefreshed-cache read (masked ids + tails) must still mirror
-    // the pending list exactly.
-    CheckCandidatesMatchSlowWalk(candidates, *catalog_, pending_, envelope_,
-                                 jukebox_->config().block_size_mb,
-                                 jukebox_->num_tapes());
-  }
+  // Candidates are re-derived from the live pending x replica walk, so a
+  // catalog mutation mid-epoch (replica death, repair, add) is seen here;
+  // only the envelope itself is reused stale.
+  const std::vector<TapeCandidate>& candidates =
+      BuildEnvelopeCandidates(envelope_);
   const TapeId tape =
       SelectTape(policy_, candidates, jukebox_->mounted_tape(),
                  jukebox_->head(), jukebox_->num_tapes(), cost_);
@@ -1057,7 +889,6 @@ TapeId EnvelopeScheduler::TryEpochReschedule() {
   const Position limit = envelope_[static_cast<size_t>(tape)];
   ExtractAndBuildSweep(tape, &limit);
   TJ_CHECK(!sweep_.empty());
-  RemoveMasterExtracted();
   PiggybackBackground(tape);
   return tape;
 }
@@ -1074,12 +905,8 @@ TapeId EnvelopeScheduler::MajorReschedule() {
     epoch_visits_ = 0;
     return BackgroundReschedule();
   }
-  const bool use_master = options_.persistent_ext_cache;
 
   // Epoch fast path: reuse the previous envelope for another tape visit.
-  // Runs against the *unrefreshed* master cache (candidate reads mask the
-  // lazily-removed ids and scan the unsorted tails), so the merge/compact
-  // cost is only paid when the kernel actually runs below.
   if (options_.reschedule_epoch > 1 && envelope_valid_ &&
       epoch_visits_ < options_.reschedule_epoch) {
     const TapeId tape = TryEpochReschedule();
@@ -1090,36 +917,32 @@ TapeId EnvelopeScheduler::MajorReschedule() {
     }
     // Nothing pending is inside the stale envelope: recompute below.
   }
-  if (use_master) RefreshMaster();
 
-  const int64_t block_mb = jukebox_->config().block_size_mb;
-  const std::vector<Request> requests(pending_.begin(), pending_.end());
+  KernelScratch& scratch = Scratch();
+  std::vector<Request>& requests = scratch.requests;
+  requests.assign(pending_.begin(), pending_.end());
   ++counters_.major_reschedules;
   const int64_t rounds_before = counters_.extension_rounds;
   const int64_t rescored_before = counters_.tapes_rescored;
   // The assignment map is only materialized for the oracle comparison;
   // the reschedule itself consumes the envelope alone.
-  EnvelopeResult result = RunIncrementalKernel(
-      requests, &counters_, use_master ? &master_ : nullptr,
-      /*want_assignment=*/options_.validate_envelope);
+  KernelState& state = scratch.state;
+  RunIncrementalKernel(requests, &counters_,
+                       /*want_assignment=*/options_.validate_envelope,
+                       &state);
+  const std::vector<Position>& envelope = state.result.envelope;
   if (options_.validate_envelope) {
-    EnvelopeCounters scratch;
-    CheckEnvelopeResultsEqual(result, RunReferenceKernel(requests, &scratch));
+    EnvelopeCounters reference_counters;
+    CheckEnvelopeResultsEqual(state.result,
+                              RunReferenceKernel(requests,
+                                                 &reference_counters));
   }
 
   // Tape choice: apply the policy to the set of requests each tape can
   // satisfy within the upper envelope (a superset of the per-tape
   // assignment built above).
-  std::vector<TapeCandidate> candidates =
-      use_master ? BuildCandidatesFromMaster(result.envelope)
-                 : CandidatesWithinEnvelope(*catalog_, pending_,
-                                            result.envelope, block_mb,
-                                            jukebox_->num_tapes());
-  if (use_master && options_.validate_envelope) {
-    CheckCandidatesMatchSlowWalk(candidates, *catalog_, pending_,
-                                 result.envelope, block_mb,
-                                 jukebox_->num_tapes());
-  }
+  const std::vector<TapeCandidate>& candidates =
+      BuildEnvelopeCandidates(envelope);
   const TapeId tape =
       SelectTape(policy_, candidates, jukebox_->mounted_tape(),
                  jukebox_->head(), jukebox_->num_tapes(), cost_);
@@ -1127,16 +950,15 @@ TapeId EnvelopeScheduler::MajorReschedule() {
   RecordDecision(/*background=*/false, tape, candidates,
                  counters_.extension_rounds - rounds_before,
                  counters_.tapes_rescored - rescored_before);
-  const Position limit = result.envelope[static_cast<size_t>(tape)];
+  const Position limit = envelope[static_cast<size_t>(tape)];
   ExtractAndBuildSweep(tape, &limit);
   TJ_CHECK(!sweep_.empty());
-  RemoveMasterExtracted();
   // Background riders may lie beyond the envelope edge: the mount is paid
   // for anyway, and client insertions never depend on riders (the sweep
   // edge check in ShrinkActiveSweep compares against the envelope, which
   // riders by definition exceed, so shrinking simply stops there).
   PiggybackBackground(tape);
-  envelope_ = std::move(result.envelope);
+  envelope_ = envelope;
   envelope_valid_ = true;
   epoch_visits_ = 1;
   return tape;
@@ -1148,32 +970,6 @@ std::vector<Request> EnvelopeScheduler::DrainSweep() {
   return Scheduler::DrainSweep();
 }
 
-std::vector<Request> EnvelopeScheduler::EvictUnservablePending() {
-  std::vector<Request> evicted = Scheduler::EvictUnservablePending();
-  for (const Request& request : evicted) {
-    if (request.cls != RequestClass::kBackground) {
-      RemoveMasterId(request.id);
-    }
-  }
-  return evicted;
-}
-
-std::vector<Request> EnvelopeScheduler::EvictExpired(double now) {
-  std::vector<Request> expired = Scheduler::EvictExpired(now);
-  // Expired requests leave the master cache like any other pending
-  // removal; only client requests live there (background never expires).
-  for (const Request& request : expired) RemoveMasterId(request.id);
-  return expired;
-}
-
-void EnvelopeScheduler::AbsorbStagedToPending() {
-  for (const Request& request : staged_) {
-    pending_.push_back(request);
-    InsertMaster(request);
-  }
-  staged_.clear();
-}
-
 void EnvelopeScheduler::DeferInOrder(const Request& request) {
   // A trimmed block's riders go back to the background queue, not the
   // client pending list (they must never pin a client envelope).
@@ -1183,7 +979,6 @@ void EnvelopeScheduler::DeferInOrder(const Request& request) {
       queue.begin(), queue.end(), request.id,
       [](const Request& r, RequestId id) { return r.id < id; });
   queue.insert(it, request);
-  if (request.cls != RequestClass::kBackground) InsertMaster(request);
 }
 
 void EnvelopeScheduler::ShrinkActiveSweep(TapeId extended_tape,
@@ -1241,7 +1036,6 @@ void EnvelopeScheduler::OnArrivalNow(const Request& request,
   const TapeId mounted = jukebox_->mounted_tape();
   if (!envelope_valid_ || sweep_.empty() || mounted == kInvalidTape) {
     pending_.push_back(request);
-    InsertMaster(request);
     return;
   }
   const int64_t block_mb = jukebox_->config().block_size_mb;
@@ -1266,7 +1060,6 @@ void EnvelopeScheduler::OnArrivalNow(const Request& request,
     if (replica.position + block_mb <=
         envelope_[static_cast<size_t>(replica.tape)]) {
       pending_.push_back(request);
-      InsertMaster(request);
       return;
     }
   }
@@ -1301,7 +1094,6 @@ void EnvelopeScheduler::OnArrivalNow(const Request& request,
       return;
     }
     pending_.push_back(request);
-    InsertMaster(request);
     return;
   }
   // Extend the envelope on the winning tape; this can make the mounted
@@ -1315,7 +1107,6 @@ void EnvelopeScheduler::OnArrivalNow(const Request& request,
     ShrinkActiveSweep(best->tape, committed_head);
   }
   pending_.push_back(request);
-  InsertMaster(request);
 }
 
 }  // namespace tapejuke

@@ -22,16 +22,14 @@
 // The extension kernel is *incremental*: the per-tape extension lists are
 // maintained in place as requests are scheduled, and per-tape
 // prefix-bandwidth scores are cached and re-evaluated only for tapes whose
-// envelope edge or list contents changed since the last round. Three fast
-// paths stack on top for deep queues (see docs/PERFORMANCE.md for the
+// envelope edge or list contents changed since the last round. Each major
+// reschedule rebuilds its inputs from the pending list without comparison
+// sorts or heap allocation: extension lists and tape-choice candidates are
+// ordered by counting replica slots (a replica's position is slot * block
+// size), and every temporary lives in scratch owned by the scheduler. Two
+// fast paths stack on top for deep queues (see docs/PERFORMANCE.md for the
 // methodology and docs/ALGORITHM.md for the equivalence arguments):
 //
-//  * persistent extension lists (SchedulerOptions::persistent_ext_cache):
-//    the sorted per-tape candidate lists survive across major reschedules —
-//    arrivals append to a small unsorted tail merged at the next
-//    reschedule, departures are lazily masked, and any catalog mutation
-//    (replica death / repair / add) forces a rebuild via the catalog's
-//    generation counter;
 //  * heap-backed tape selection (SchedulerOptions::use_selection_heap):
 //    per-tape best-prefix scores live on an indexed max-heap so each round
 //    re-heapifies only the dirty tapes instead of scanning all of them;
@@ -73,13 +71,6 @@ class EnvelopeScheduler : public Scheduler {
   /// Fault recovery: abandons the sweep and invalidates the persisted
   /// envelope (it described a schedule that included the drained work).
   std::vector<Request> DrainSweep() override;
-
-  /// Fault recovery: evicted requests also leave the persistent extension
-  /// lists.
-  std::vector<Request> EvictUnservablePending() override;
-
-  /// Overload: expired requests also leave the persistent extension lists.
-  std::vector<Request> EvictExpired(double now) override;
 
   /// Output of the upper-envelope computation (exposed for tests and the
   /// Theorem-2 validation).
@@ -131,7 +122,7 @@ class EnvelopeScheduler : public Scheduler {
     int64_t incremental_inserts = 0;  ///< arrivals inserted into the sweep
     int64_t incremental_extensions = 0;  ///< arrivals that extended the envelope
     int64_t sweep_trims = 0;          ///< active-sweep blocks removed by shrink
-    int64_t master_rebuilds = 0;      ///< persistent ext lists rebuilt from scratch
+    int64_t master_rebuilds = 0;  ///< always 0 (persistent lists removed)
     int64_t epoch_reuses = 0;  ///< reschedules served from a reused envelope
   };
   const EnvelopeCounters& counters() const { return counters_; }
@@ -139,39 +130,11 @@ class EnvelopeScheduler : public Scheduler {
  protected:
   void OnArrivalNow(const Request& request, Position committed_head) override;
 
-  /// Staged arrivals absorbed on fault paths enter the persistent
-  /// extension lists with the pending list.
-  void AbsorbStagedToPending() override;
-
  private:
   /// Shared mutable state of one upper-envelope computation and the
   /// reusable scratch buffers (defined in the .cc).
   struct KernelState;
   struct KernelScratch;
-
-  /// One candidate entry of the persistent extension lists: a replica of a
-  /// pending request. `replica` points into the catalog; the cache's
-  /// generation stamp guards against dangling pointers (AddReplica
-  /// reallocates the CSR storage).
-  struct MasterEntry {
-    Position position;
-    RequestId id;
-    const Replica* replica;
-  };
-
-  /// Persistent per-tape extension lists mirroring pending_ x live
-  /// replicas, maintained across major reschedules. `sorted` is ordered by
-  /// (position, id); arrivals land in `tail` and are merged at the next
-  /// refresh; departures are masked in `removed` and compacted out at the
-  /// next refresh. Invalid (or stale by catalog generation) caches are
-  /// rebuilt from the pending list.
-  struct MasterCache {
-    std::vector<std::vector<MasterEntry>> sorted;
-    std::vector<std::vector<MasterEntry>> tail;
-    FlatSet<RequestId> removed;
-    int64_t generation = -1;
-    bool valid = false;
-  };
 
   /// Steps 1-2: pins the initial envelope and absorbs every request with
   /// an in-envelope replica; fills state->unscheduled with the rest.
@@ -190,16 +153,15 @@ class EnvelopeScheduler : public Scheduler {
   void RunShrinkLoop(KernelState* state, EnvelopeCounters* counters,
                      std::vector<char>* dirty) const;
 
-  /// Kernel bodies behind the public entry points. `master`, when
-  /// non-null, supplies pre-sorted extension lists (the persistent cache)
-  /// so the incremental kernel skips the per-call enumerate + sort. With
-  /// `want_assignment` false the per-request assignment map is not
-  /// materialized (the production reschedule path only reads the
-  /// envelope; the map feeds the oracle and the theory checks).
-  EnvelopeResult RunIncrementalKernel(const std::vector<Request>& requests,
-                                      EnvelopeCounters* counters,
-                                      const MasterCache* master,
-                                      bool want_assignment) const;
+  /// Kernel bodies behind the public entry points. The incremental kernel
+  /// leaves its result in `state` (reused scratch, so the production path
+  /// does not allocate). With `want_assignment` false the per-request
+  /// assignment map is not materialized (the production reschedule path
+  /// only reads the envelope; the map feeds the oracle and the theory
+  /// checks).
+  void RunIncrementalKernel(const std::vector<Request>& requests,
+                            EnvelopeCounters* counters, bool want_assignment,
+                            KernelState* state) const;
   EnvelopeResult RunReferenceKernel(const std::vector<Request>& requests,
                                     EnvelopeCounters* counters) const;
 
@@ -218,24 +180,11 @@ class EnvelopeScheduler : public Scheduler {
   /// Re-adds `request` to the pending list keeping arrival (id) order.
   void DeferInOrder(const Request& request);
 
-  /// Persistent-cache maintenance. InsertMaster mirrors a request entering
-  /// pending_; RemoveMasterId mirrors one leaving it; RefreshMaster makes
-  /// the cache exact again (merge tails, compact removals, or rebuild).
-  void InsertMaster(const Request& request);
-  void RemoveMasterId(RequestId id);
-  void RefreshMaster();
-  void RebuildMaster();
-  /// Masks every client request of the just-built sweep out of the cache.
-  void RemoveMasterExtracted();
-
-  /// Tape-choice candidates for the current pending list restricted to
-  /// `envelope`, read off the master cache prefixes (equivalent to walking
-  /// pending x replicas, without re-sorting positions). Works on an
-  /// unrefreshed cache too: lazily-removed ids are masked out and the
-  /// unsorted arrival tails are scanned, so the epoch fast path never
-  /// pays the refresh merge.
-  std::vector<TapeCandidate> BuildCandidatesFromMaster(
-      const std::vector<Position>& envelope) const;
+  /// Tape-choice candidates: the pending requests satisfiable within
+  /// `envelope`, per tape, from a walk over pending x live replicas.
+  /// Positions are ascending and distinct. Valid until the next call.
+  const std::vector<TapeCandidate>& BuildEnvelopeCandidates(
+      const std::vector<Position>& envelope);
 
   /// Epoch fast path: serve another tape from the persisted envelope
   /// without recomputing it. Returns kInvalidTape when no pending request
@@ -243,14 +192,13 @@ class EnvelopeScheduler : public Scheduler {
   TapeId TryEpochReschedule();
 
   /// Lazily allocated reusable scratch (kernel temporaries survive across
-  /// calls to avoid per-reschedule vector churn).
+  /// calls, so a warm reschedule does not allocate).
   KernelScratch& Scratch() const;
 
   TapePolicy policy_;
   std::vector<Position> envelope_;  ///< persisted between major reschedules
   bool envelope_valid_ = false;
   int32_t epoch_visits_ = 0;  ///< tape visits served by the current envelope
-  MasterCache master_;
   mutable EnvelopeCounters counters_;
   mutable std::unique_ptr<KernelScratch> scratch_;
 };

@@ -1,6 +1,7 @@
 #include "sched/schedule_cost.h"
 
 #include <algorithm>
+#include <functional>
 
 #include "util/check.h"
 
@@ -25,12 +26,7 @@ double ScheduleCost::ExecutionSeconds(
 
 std::vector<Position> ScheduleCost::SweepOrder(Position head,
                                                std::vector<Position> positions) {
-  // Candidate builders that read positions off a sorted index (the
-  // envelope scheduler's persistent extension lists) pass them already
-  // ascending; skip the sort then.
-  if (!std::is_sorted(positions.begin(), positions.end())) {
-    std::sort(positions.begin(), positions.end());
-  }
+  std::sort(positions.begin(), positions.end());
   positions.erase(std::unique(positions.begin(), positions.end()),
                   positions.end());
   auto split = std::lower_bound(positions.begin(), positions.end(), head);
@@ -45,7 +41,10 @@ std::vector<Position> ScheduleCost::SweepOrder(Position head,
 
 SweepCostBreakdown ScheduleCost::EstimateVisit(
     TapeId target, TapeId mounted, Position head,
-    std::vector<Position> positions) const {
+    const std::vector<Position>& positions) const {
+  TJ_DCHECK(std::adjacent_find(positions.begin(), positions.end(),
+                               std::greater_equal<Position>()) ==
+            positions.end());
   SweepCostBreakdown cost;
   Position start_head = head;
   if (target != mounted) {
@@ -54,10 +53,23 @@ SweepCostBreakdown ScheduleCost::EstimateVisit(
                               : model_->FullSwitchTime(head);
     start_head = 0;
   }
-  const std::vector<Position> order = SweepOrder(start_head,
-                                                 std::move(positions));
-  cost.execution_seconds = ExecutionSeconds(start_head, order);
-  cost.blocks = static_cast<int64_t>(order.size());
+  // SweepOrder without materializing it: forward through the positions at
+  // or above the start head, then back down through the rest.
+  const auto split =
+      std::lower_bound(positions.begin(), positions.end(), start_head);
+  Position at = start_head;
+  for (auto it = split; it != positions.end(); ++it) {
+    cost.execution_seconds += model_->LocateAndReadTime(at, *it,
+                                                        block_size_mb_);
+    at = *it + block_size_mb_;
+  }
+  for (auto it = split; it != positions.begin();) {
+    --it;
+    cost.execution_seconds += model_->LocateAndReadTime(at, *it,
+                                                        block_size_mb_);
+    at = *it + block_size_mb_;
+  }
+  cost.blocks = static_cast<int64_t>(positions.size());
   cost.bytes_mb = cost.blocks * block_size_mb_;
   return cost;
 }

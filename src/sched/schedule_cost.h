@@ -67,12 +67,15 @@ class ScheduleCost {
   static std::vector<Position> SweepOrder(Position head,
                                           std::vector<Position> positions);
 
-  /// Full cost of servicing the distinct `positions` (unordered) on tape
-  /// `target` when `mounted` (with head at `head`) is currently in the
-  /// drive: tape-switch overhead if target differs, then a single sweep.
-  SweepCostBreakdown EstimateVisit(TapeId target, TapeId mounted,
-                                   Position head,
-                                   std::vector<Position> positions) const;
+  /// Full cost of servicing `positions` on tape `target` when `mounted`
+  /// (with head at `head`) is currently in the drive: tape-switch overhead
+  /// if target differs, then a single sweep. `positions` must be strictly
+  /// ascending (what CandidateBuilder emits); they are costed in place, in
+  /// SweepOrder, so the result equals
+  /// ExecutionSeconds(start, SweepOrder(start, positions)).
+  SweepCostBreakdown EstimateVisit(
+      TapeId target, TapeId mounted, Position head,
+      const std::vector<Position>& positions) const;
 
  private:
   const TimingModel* model_;

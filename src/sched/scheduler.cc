@@ -1,6 +1,7 @@
 #include "sched/scheduler.h"
 
 #include <algorithm>
+#include <bit>
 
 #include "sched/sweep_builder.h"
 #include "util/check.h"
@@ -37,32 +38,29 @@ int32_t ScanRank(TapeId tape, TapeId origin, int32_t num_tapes) {
 TapeId SelectTape(TapePolicy policy, const std::vector<TapeCandidate>& tapes,
                   TapeId mounted, Position head, int32_t num_tapes,
                   const ScheduleCost& cost) {
-  // Collect candidates with work, honoring the oldest-request restriction.
+  // Candidates with work, honoring the oldest-request restriction.
   const bool restrict_oldest = policy == TapePolicy::kOldestMaxRequests ||
                                policy == TapePolicy::kOldestMaxBandwidth;
-  std::vector<const TapeCandidate*> eligible;
-  for (const TapeCandidate& c : tapes) {
-    if (c.num_requests <= 0) continue;
-    if (restrict_oldest && !c.serves_oldest) continue;
-    eligible.push_back(&c);
-  }
-  if (eligible.empty()) return kInvalidTape;
+  const auto eligible = [&](const TapeCandidate& c) {
+    return c.num_requests > 0 && (!restrict_oldest || c.serves_oldest);
+  };
 
   if (policy == TapePolicy::kRoundRobin) {
     // Next tape in jukebox order strictly after the mounted tape (wrapping;
     // the mounted tape itself is considered last).
     const TapeCandidate* best = nullptr;
     int32_t best_rank = num_tapes + 1;
-    for (const TapeCandidate* c : eligible) {
+    for (const TapeCandidate& c : tapes) {
+      if (!eligible(c)) continue;
       // Rank 0 (the mounted tape) maps to num_tapes: visited last.
-      int32_t rank = ScanRank(c->tape, mounted, num_tapes);
+      int32_t rank = ScanRank(c.tape, mounted, num_tapes);
       if (rank == 0) rank = num_tapes;
       if (rank < best_rank) {
         best_rank = rank;
-        best = c;
+        best = &c;
       }
     }
-    return best->tape;
+    return best == nullptr ? kInvalidTape : best->tape;
   }
 
   const bool by_bandwidth = policy == TapePolicy::kMaxBandwidth ||
@@ -70,24 +68,67 @@ TapeId SelectTape(TapePolicy policy, const std::vector<TapeCandidate>& tapes,
   const TapeCandidate* best = nullptr;
   double best_score = -1;
   int32_t best_rank = num_tapes + 1;
-  for (const TapeCandidate* c : eligible) {
+  for (const TapeCandidate& c : tapes) {
+    if (!eligible(c)) continue;
     double score;
     if (by_bandwidth) {
-      score =
-          cost.EstimateVisit(c->tape, mounted, head, c->positions)
-              .BandwidthMBps();
+      score = cost.EstimateVisit(c.tape, mounted, head, c.positions)
+                  .BandwidthMBps();
     } else {
-      score = static_cast<double>(c->num_requests);
+      score = static_cast<double>(c.num_requests);
     }
-    const int32_t rank = ScanRank(c->tape, mounted, num_tapes);
+    const int32_t rank = ScanRank(c.tape, mounted, num_tapes);
     if (score > best_score ||
         (score == best_score && rank < best_rank)) {
       best_score = score;
       best_rank = rank;
-      best = c;
+      best = &c;
     }
   }
-  return best->tape;
+  return best == nullptr ? kInvalidTape : best->tape;
+}
+
+void CandidateBuilder::Begin(const Jukebox& jukebox) {
+  const size_t num_tapes = static_cast<size_t>(jukebox.num_tapes());
+  words_per_tape_ = static_cast<size_t>(jukebox.slots_per_tape() + 63) / 64;
+  block_size_mb_ = jukebox.config().block_size_mb;
+  candidates_.resize(num_tapes);
+  for (size_t t = 0; t < num_tapes; ++t) {
+    TapeCandidate& c = candidates_[t];
+    c.tape = static_cast<TapeId>(t);
+    c.num_requests = 0;
+    c.positions.clear();
+    c.serves_oldest = false;
+  }
+  slots_.assign(num_tapes * words_per_tape_, 0);
+}
+
+void CandidateBuilder::Add(const Replica& replica, bool serves_oldest) {
+  TJ_DCHECK(replica.slot >= 0 &&
+            static_cast<size_t>(replica.slot) < words_per_tape_ * 64);
+  TJ_DCHECK(replica.position == replica.slot * block_size_mb_);
+  TapeCandidate& c = candidates_[static_cast<size_t>(replica.tape)];
+  ++c.num_requests;
+  if (serves_oldest) c.serves_oldest = true;
+  const size_t slot = static_cast<size_t>(replica.slot);
+  slots_[static_cast<size_t>(replica.tape) * words_per_tape_ + slot / 64] |=
+      uint64_t{1} << (slot % 64);
+}
+
+const std::vector<TapeCandidate>& CandidateBuilder::Finish() {
+  for (size_t t = 0; t < candidates_.size(); ++t) {
+    TapeCandidate& c = candidates_[t];
+    if (c.num_requests == 0) continue;
+    const uint64_t* words = slots_.data() + t * words_per_tape_;
+    for (size_t w = 0; w < words_per_tape_; ++w) {
+      for (uint64_t bits = words[w]; bits != 0; bits &= bits - 1) {
+        const int64_t slot =
+            static_cast<int64_t>(w * 64) + std::countr_zero(bits);
+        c.positions.push_back(slot * block_size_mb_);
+      }
+    }
+  }
+  return candidates_;
 }
 
 Scheduler::Scheduler(const Jukebox* jukebox, const Catalog* catalog,
@@ -129,26 +170,16 @@ void Scheduler::AbsorbStagedToPending() {
   staged_.clear();
 }
 
-std::vector<TapeCandidate> Scheduler::BuildCandidates() const {
-  std::vector<TapeCandidate> candidates(
-      static_cast<size_t>(jukebox_->num_tapes()));
-  for (TapeId t = 0; t < jukebox_->num_tapes(); ++t) {
-    candidates[static_cast<size_t>(t)].tape = t;
-  }
-  const BlockId oldest_block =
-      pending_.empty() ? kInvalidBlock : pending_.front().block;
+const std::vector<TapeCandidate>& Scheduler::BuildCandidates() {
+  candidate_builder_.Begin(*jukebox_);
+  const RequestId oldest = pending_.empty() ? -1 : pending_.front().id;
   for (const Request& request : pending_) {
     for (const Replica& replica : catalog_->ReplicasOf(request.block)) {
       if (!catalog_->IsAlive(replica)) continue;
-      TapeCandidate& c = candidates[static_cast<size_t>(replica.tape)];
-      ++c.num_requests;
-      c.positions.push_back(replica.position);
-      if (request.block == oldest_block && request.id == pending_.front().id) {
-        c.serves_oldest = true;
-      }
+      candidate_builder_.Add(replica, request.id == oldest);
     }
   }
-  return candidates;
+  return candidate_builder_.Finish();
 }
 
 void Scheduler::RecordDecision(bool background, TapeId chosen,
@@ -245,19 +276,14 @@ TapeId Scheduler::BackgroundReschedule() {
   // Client candidates are empty here, so candidate work is exactly the
   // background queue; max-requests batches the most source reads per
   // mount, which is what repair throughput wants.
-  std::vector<TapeCandidate> candidates(
-      static_cast<size_t>(jukebox_->num_tapes()));
-  for (TapeId t = 0; t < jukebox_->num_tapes(); ++t) {
-    candidates[static_cast<size_t>(t)].tape = t;
-  }
+  candidate_builder_.Begin(*jukebox_);
   for (const Request& request : background_) {
     for (const Replica& replica : catalog_->ReplicasOf(request.block)) {
       if (!catalog_->IsAlive(replica)) continue;
-      TapeCandidate& c = candidates[static_cast<size_t>(replica.tape)];
-      ++c.num_requests;
-      c.positions.push_back(replica.position);
+      candidate_builder_.Add(replica, /*serves_oldest=*/false);
     }
   }
+  const std::vector<TapeCandidate>& candidates = candidate_builder_.Finish();
   const TapeId tape =
       SelectTape(TapePolicy::kMaxRequests, candidates,
                  jukebox_->mounted_tape(), jukebox_->head(),
@@ -269,7 +295,8 @@ TapeId Scheduler::BackgroundReschedule() {
       (tape == jukebox_->mounted_tape()) ? jukebox_->head() : 0;
   ExtractSweepForTape(*catalog_, tape, start_head,
                       jukebox_->config().block_size_mb,
-                      /*envelope_limit=*/nullptr, &background_, &sweep_);
+                      /*envelope_limit=*/nullptr, &background_, &sweep_,
+                      &sweep_scratch_);
   TJ_CHECK(!sweep_.empty());
   return tape;
 }
@@ -296,7 +323,7 @@ void Scheduler::ExtractAndBuildSweep(TapeId tape,
       (tape == jukebox_->mounted_tape()) ? jukebox_->head() : 0;
   ExtractSweepForTape(*catalog_, tape, start_head,
                       jukebox_->config().block_size_mb, envelope_limit,
-                      &pending_, &sweep_);
+                      &pending_, &sweep_, &sweep_scratch_);
 }
 
 }  // namespace tapejuke

@@ -11,6 +11,7 @@
 #ifndef TAPEJUKE_SCHED_SCHEDULER_H_
 #define TAPEJUKE_SCHED_SCHEDULER_H_
 
+#include <cstdint>
 #include <deque>
 #include <map>
 #include <optional>
@@ -22,6 +23,7 @@
 #include "sched/request.h"
 #include "sched/schedule_cost.h"
 #include "sched/sweep.h"
+#include "sched/sweep_builder.h"
 #include "tape/jukebox.h"
 #include "tape/types.h"
 
@@ -66,13 +68,6 @@ struct SchedulerOptions {
   /// heap top is re-run through the scan's tie-break); validate_envelope
   /// additionally checks the two selections against each other per round.
   bool use_selection_heap = true;
-  /// Envelope fast path: maintain the per-tape extension lists (sorted
-  /// replica candidates of the pending requests) persistently across major
-  /// reschedules, so a reschedule merges a small sorted tail instead of
-  /// re-enumerating and re-sorting every pending replica. Guarded by the
-  /// catalog mutation generation (any replica death/repair/add forces a
-  /// full rebuild). Exactly equivalent; oracle-checked like the rest.
-  bool persistent_ext_cache = true;
   /// Batched rescheduling: when > 0, arrivals are staged and only applied
   /// to the scheduler once `arrival_batch` of them have accumulated (or a
   /// major reschedule / fault event flushes the batch early). 0 preserves
@@ -95,8 +90,33 @@ struct SchedulerOptions {
 struct TapeCandidate {
   TapeId tape = kInvalidTape;
   int64_t num_requests = 0;          ///< pending requests satisfiable here
-  std::vector<Position> positions;   ///< block positions (may repeat)
+  /// Block positions, strictly ascending (as CandidateBuilder emits them
+  /// and ScheduleCost::EstimateVisit requires).
+  std::vector<Position> positions;
   bool serves_oldest = false;        ///< can satisfy the oldest request
+};
+
+/// Builds one TapeCandidate per tape from (request, replica) pairs without
+/// sorting: each tape's distinct positions come out ascending from a
+/// per-tape slot bitmap (a replica's position is slot * block size). The
+/// builder keeps its buffers, so a warm rebuild does not allocate. Each
+/// scheduler or simulator owns its own.
+class CandidateBuilder {
+ public:
+  /// Starts an empty candidate set for `jukebox`.
+  void Begin(const Jukebox& jukebox);
+
+  /// Counts one request servable by `replica` on its tape.
+  void Add(const Replica& replica, bool serves_oldest);
+
+  /// Completes the set begun by Begin (positions ascending, distinct).
+  const std::vector<TapeCandidate>& Finish();
+
+ private:
+  std::vector<TapeCandidate> candidates_;
+  std::vector<uint64_t> slots_;  ///< per tape, one bit per slot
+  size_t words_per_tape_ = 0;
+  int64_t block_size_mb_ = 0;
 };
 
 /// Applies `policy` to the candidate tapes. `mounted`/`head` describe the
@@ -211,9 +231,7 @@ class Scheduler {
   /// Moves staged arrivals straight onto the pending list, bypassing
   /// OnArrivalNow. Used on the fault paths (DrainSweep /
   /// EvictUnservablePending), where sweep insertion would race the drain.
-  /// Subclasses that mirror the pending list in derived state override to
-  /// keep it consistent.
-  virtual void AbsorbStagedToPending();
+  void AbsorbStagedToPending();
 
   /// MajorReschedule fallback when no client work is pending: picks the
   /// tape satisfying the most background requests (ties in jukebox order)
@@ -226,8 +244,9 @@ class Scheduler {
   /// the rest stay queued.
   void PiggybackBackground(TapeId tape);
 
-  /// Builds per-tape candidates from the current pending list.
-  std::vector<TapeCandidate> BuildCandidates() const;
+  /// Builds per-tape candidates from the current pending list (valid
+  /// until the next call).
+  const std::vector<TapeCandidate>& BuildCandidates();
 
   /// Pushes one DecisionRecord to the attached sink; no-op without one.
   /// Call after tape selection but before extracting the sweep, so queue
@@ -254,6 +273,8 @@ class Scheduler {
   std::deque<Request> background_;
   Sweep sweep_;
   obs::DecisionSink* decision_sink_ = nullptr;
+  CandidateBuilder candidate_builder_;
+  SweepScratch sweep_scratch_;
 
   /// Arrival-batching buffer (see SchedulerOptions::arrival_batch) and the
   /// most recent committed head, used when the batch is flushed.

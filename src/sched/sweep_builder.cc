@@ -1,71 +1,103 @@
 #include "sched/sweep_builder.h"
 
 #include <algorithm>
-#include <vector>
 
 #include "util/check.h"
 
 namespace tapejuke {
 
+void SlotCountingSort::Reset(size_t groups, int64_t slots,
+                             int64_t block_size_mb) {
+  TJ_CHECK_GE(slots, 0);
+  for (size_t g = 0; g < lo_.size(); ++g) {
+    for (int64_t slot = lo_[g]; slot < hi_[g]; ++slot) {
+      bucket_[Index(g, slot)] = 0;
+    }
+  }
+  slots_ = slots;
+  block_size_mb_ = block_size_mb;
+  const size_t size = groups * static_cast<size_t>(slots);
+  if (bucket_.size() < size) bucket_.resize(size, 0);
+  lo_.assign(groups, slots);
+  hi_.assign(groups, 0);
+}
+
+uint32_t SlotCountingSort::Offsets(size_t group) {
+  uint32_t running = 0;
+  for (int64_t slot = lo_[group]; slot < hi_[group]; ++slot) {
+    uint32_t& b = bucket_[Index(group, slot)];
+    const uint32_t count = b;
+    b = running;
+    running += count;
+  }
+  return running;
+}
+
 void ExtractSweepForTape(const Catalog& catalog, TapeId tape,
                          Position start_head, int64_t block_size_mb,
                          const Position* envelope_limit,
-                         std::deque<Request>* pending, Sweep* sweep) {
+                         std::deque<Request>* pending, Sweep* sweep,
+                         SweepScratch* scratch) {
   TJ_CHECK(pending != nullptr);
   TJ_CHECK(sweep != nullptr);
+  TJ_CHECK(scratch != nullptr);
   TJ_CHECK(sweep->empty()) << "sweep must be drained before rebuilding";
 
-  // Partition the pending list into extracted (position-tagged) and kept
-  // requests, then group the extracted ones by position with one stable
-  // sort: same result as a position-keyed ordered map, without the
-  // per-distinct-position node allocations. Stability keeps each entry's
-  // requests in pending order.
-  struct Tagged {
-    Position position;
-    Request request;
-  };
-  std::vector<Tagged> extracted;
-  extracted.reserve(pending->size());
-  std::deque<Request> keep;
-  for (const Request& request : *pending) {
-    const Replica* replica = catalog.LiveReplicaOn(request.block, tape);
+  // Move the extracted requests out (in pending order) and compact the
+  // kept ones toward the front, preserving their order.
+  auto& extracted = scratch->extracted;
+  extracted.clear();
+  int64_t slots = 0;  // one past the highest extracted slot
+  auto out = pending->begin();
+  for (auto it = pending->begin(); it != pending->end(); ++it) {
+    const Replica* replica = catalog.LiveReplicaOn(it->block, tape);
     const bool within =
         replica != nullptr &&
         (envelope_limit == nullptr ||
          replica->position + block_size_mb <= *envelope_limit);
     if (!within) {
-      keep.push_back(request);
+      if (out != it) *out = std::move(*it);
+      ++out;
       continue;
     }
-    extracted.push_back(Tagged{replica->position, request});
+    slots = std::max(slots, replica->slot + 1);
+    extracted.push_back(SweepScratch::Tagged{replica, *it});
   }
-  *pending = std::move(keep);
-  std::stable_sort(extracted.begin(), extracted.end(),
-                   [](const Tagged& a, const Tagged& b) {
-                     return a.position < b.position;
-                   });
+  pending->erase(out, pending->end());
+  if (extracted.empty()) return;
+
+  // Group by position, stably: each entry's requests stay in pending order.
+  auto& sort = scratch->sort;
+  sort.Reset(1, slots, block_size_mb);
+  for (const auto& e : extracted) sort.Count(0, *e.replica);
+  auto& order = scratch->order;
+  order.resize(sort.Offsets(0));
+  for (size_t i = 0; i < extracted.size(); ++i) {
+    order[sort.Place(0, *extracted[i].replica)] = static_cast<uint32_t>(i);
+  }
 
   // One entry per distinct position (one block per position per tape).
   // Forward phase: ascending positions >= the start head; reverse phase:
   // descending positions below it.
+  const auto at = [&](size_t k) -> const SweepScratch::Tagged& {
+    return extracted[order[k]];
+  };
+  const auto position = [&](size_t k) { return at(k).replica->position; };
   const auto build_entry = [&](size_t begin, size_t end) {
     ServiceEntry entry;
-    entry.position = extracted[begin].position;
-    entry.block = extracted[begin].request.block;
+    entry.position = position(begin);
+    entry.block = at(begin).request.block;
     entry.requests.reserve(end - begin);
     for (size_t k = begin; k < end; ++k) {
-      entry.requests.push_back(extracted[k].request);
+      entry.requests.push_back(at(k).request);
     }
     return entry;
   };
   size_t reverse_end = 0;  // first index with position >= start_head
-  for (size_t i = 0; i < extracted.size();) {
+  for (size_t i = 0; i < order.size();) {
     size_t j = i + 1;
-    while (j < extracted.size() &&
-           extracted[j].position == extracted[i].position) {
-      ++j;
-    }
-    if (extracted[i].position >= start_head) {
+    while (j < order.size() && position(j) == position(i)) ++j;
+    if (position(i) >= start_head) {
       sweep->AppendForward(build_entry(i, j));
     } else {
       reverse_end = j;
@@ -74,10 +106,7 @@ void ExtractSweepForTape(const Catalog& catalog, TapeId tape,
   }
   for (size_t end = reverse_end; end > 0;) {
     size_t begin = end - 1;
-    while (begin > 0 &&
-           extracted[begin - 1].position == extracted[end - 1].position) {
-      --begin;
-    }
+    while (begin > 0 && position(begin - 1) == position(end - 1)) --begin;
     sweep->AppendReverse(build_entry(begin, end));
     end = begin;
   }

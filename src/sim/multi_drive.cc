@@ -251,10 +251,7 @@ void MultiDriveSimulator::Dispatch(int d, double now) {
 
   // Candidates over unclaimed tapes only.
   const int32_t num_tapes = jukebox_->num_tapes();
-  std::vector<TapeCandidate> candidates(static_cast<size_t>(num_tapes));
-  for (TapeId t = 0; t < num_tapes; ++t) {
-    candidates[static_cast<size_t>(t)].tape = t;
-  }
+  candidate_builder_.Begin(*jukebox_);
   bool saw_claimed_work = false;
   const RequestId oldest = pending_.front().id;
   for (const Request& request : pending_) {
@@ -264,12 +261,10 @@ void MultiDriveSimulator::Dispatch(int d, double now) {
         saw_claimed_work = true;
         continue;
       }
-      TapeCandidate& c = candidates[static_cast<size_t>(replica.tape)];
-      ++c.num_requests;
-      c.positions.push_back(replica.position);
-      if (request.id == oldest) c.serves_oldest = true;
+      candidate_builder_.Add(replica, request.id == oldest);
     }
   }
+  const std::vector<TapeCandidate>& candidates = candidate_builder_.Finish();
   const TapeId mounted = ds.unit.loaded_tape();
   const TapeId tape = SelectTape(drives_config_.policy, candidates, mounted,
                                  ds.unit.head(), num_tapes, cost_);
@@ -287,7 +282,8 @@ void MultiDriveSimulator::Dispatch(int d, double now) {
   const Position start_head = (tape == mounted) ? ds.unit.head() : 0;
   ExtractSweepForTape(*catalog_, tape, start_head,
                       jukebox_->config().block_size_mb,
-                      /*envelope_limit=*/nullptr, &pending_, &ds.sweep);
+                      /*envelope_limit=*/nullptr, &pending_, &ds.sweep,
+                      &sweep_scratch_);
   TJ_CHECK(!ds.sweep.empty());
   ds.claim = tape;
   TraceSweepContents(d, tape, now);

@@ -29,6 +29,7 @@
 #include "sched/schedule_cost.h"
 #include "sched/scheduler.h"
 #include "sched/sweep.h"
+#include "sched/sweep_builder.h"
 #include "sim/admission.h"
 #include "sim/event_queue.h"
 #include "sim/fault_model.h"
@@ -212,6 +213,8 @@ class MultiDriveSimulator {
   WorkloadGenerator workload_;
   MetricsCollector metrics_;
   ScheduleCost cost_;
+  CandidateBuilder candidate_builder_;
+  SweepScratch sweep_scratch_;
 
   std::vector<DriveState> drives_;
   std::deque<Request> pending_;

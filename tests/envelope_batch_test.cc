@@ -107,9 +107,9 @@ TEST_F(EnvelopeBatchTest, DrainSweepAbsorbsStagedMidBatch) {
   EXPECT_EQ(sched.staged_size(), 2u);
 
   // A fault abandons the sweep. The staged arrivals must be absorbed into
-  // the pending list (not lost, not applied to the dying sweep): the
-  // persistent extension lists absorb them too, which the next oracle-
-  // checked reschedule verifies.
+  // the pending list (not lost, not applied to the dying sweep); the next
+  // reschedule builds its extension lists and candidates from that list,
+  // and the oracle checks both against the naive walk.
   const std::vector<Request> drained = sched.DrainSweep();
   EXPECT_EQ(drained.size(), 2u);
   EXPECT_EQ(sched.staged_size(), 0u);
@@ -148,8 +148,8 @@ TEST_F(EnvelopeBatchTest, EvictUnservableSeesStagedRequests) {
   ASSERT_EQ(sched.pending().size(), 1u);
   EXPECT_EQ(sched.pending()[0].id, 0);
 
-  // The catalog mutation bumped the generation: the next reschedule
-  // rebuilds the persistent lists and still passes the oracle.
+  // The next reschedule reads only live replicas and still passes the
+  // oracle.
   const TapeId tape = sched.MajorReschedule();
   ASSERT_EQ(tape, 0);
   size_t served = 0;
@@ -172,7 +172,9 @@ TEST_F(EnvelopeBatchTest, BackgroundPiggybacksOnEpochSweep) {
   sched.OnArrival(Req(0, 0), 0);
   sched.OnArrival(Req(1, 1), 0);
   sched.OnArrival(Req(2, 2), 0);
-  sched.EnqueueBackground(Req(kBackgroundIdBase, 3));
+  Request background = Req(kBackgroundIdBase, 3);
+  background.cls = RequestClass::kBackground;
+  sched.EnqueueBackground(background);
   ASSERT_EQ(sched.background_size(), 1u);
 
   // First visit: the full kernel runs; tape 0 wins max-requests (2 vs 1).
@@ -199,12 +201,11 @@ TEST_F(EnvelopeBatchTest, BackgroundPiggybacksOnEpochSweep) {
 }
 
 // A catalog mutation mid-epoch (single-replica media error on another
-// tape: the generation bumps, no sweep is drained, the victim block stays
-// servable via its other replica) must not leave the epoch fast path
-// reading the stale master cache: the dead replica would count as
-// servable tape-1 work. The oracle cross-check pins the rebuilt read
-// against the live pending x replica walk.
-TEST(EnvelopeEpochFault, ReplicaDeathMidEpochRebuildsMasterCache) {
+// tape: no sweep is drained, the victim block stays servable via its
+// other replica) must not leave the epoch fast path counting the dead
+// replica as servable tape-1 work. The oracle pins the epoch visit's
+// candidates against the live pending x replica walk.
+TEST(EnvelopeEpochFault, ReplicaDeathMidEpochServesLiveCandidates) {
   TinyRig rig(2);
   rig.Place(0, 0, 0);
   rig.Place(1, 0, 1);
@@ -234,18 +235,17 @@ TEST(EnvelopeEpochFault, ReplicaDeathMidEpochRebuildsMasterCache) {
   EXPECT_EQ(served, 2u);
 
   // Block 3's tape-1 replica dies mid-epoch. The request keeps its live
-  // tape-0 replica, so nothing is evicted — only the generation stamp
-  // tells the scheduler its cached tape-1 list is now a lie.
+  // tape-0 replica, so nothing is evicted, and the envelope still covers
+  // the dead copy.
   ASSERT_TRUE(catalog.MarkReplicaDead(3, 1));
   EXPECT_TRUE(sched.EvictUnservablePending().empty());
 
-  // The epoch visit still fires, but off a rebuilt cache: tape 1 has one
-  // live in-envelope request (block 2), not two.
-  const int64_t rebuilds_before = sched.counters().master_rebuilds;
+  // The epoch visit still fires, but tape 1 has one live in-envelope
+  // request (block 2), not two.
   const TapeId second = sched.MajorReschedule();
   ASSERT_EQ(second, 1);
-  EXPECT_EQ(sched.counters().master_rebuilds, rebuilds_before + 1);
   EXPECT_EQ(sched.counters().epoch_reuses, 1);
+  EXPECT_EQ(sched.counters().master_rebuilds, 0);
   rig.jukebox().SwitchTo(second);
   while (auto entry = sched.PopNext()) {
     EXPECT_EQ(entry->block, 2);
@@ -268,12 +268,11 @@ TEST(EnvelopeEpochFault, ReplicaDeathMidEpochRebuildsMasterCache) {
 }
 
 // The abort flavour of the same staleness (production config, oracle
-// off): every live tape-1 entry of the stale cache dies mid-epoch —
-// the anchor block outright (and is evicted), the replicated blocks
-// surviving on out-of-envelope tape-0 copies. Pre-generation-guard, the
-// epoch visit chose tape 1 on the phantom candidates and the
-// live-replica sweep extraction came back empty (TJ_CHECK failure); the
-// guard makes the visit fall back to a full recompute instead.
+// off): every in-envelope tape-1 replica dies mid-epoch — the anchor
+// block outright (and is evicted), the replicated blocks surviving on
+// out-of-envelope tape-0 copies. An epoch visit that chose tape 1 on
+// phantom candidates would extract an empty sweep (TJ_CHECK failure);
+// instead it must fall back to a full recompute.
 TEST(EnvelopeEpochFault, AllPhantomTapeFallsBackToFullReschedule) {
   TinyRig rig(2);
   rig.Place(0, 0, 0);
@@ -325,11 +324,10 @@ TEST(EnvelopeEpochFault, AllPhantomTapeFallsBackToFullReschedule) {
 }
 
 // Scheduler-driven equivalence fuzz: every fast path armed at once
-// (selection heap, persistent extension lists, arrival batching, epoch
-// rescheduling) under the ValidatingScheduler with the envelope oracle on.
-// Arrival ids are shuffled within small windows to mimic failover
-// re-deliveries, which drives the kernel's disordered-pending (hash-uid)
-// path as well as the sorted fast path.
+// (selection heap, slot-ordered list and candidate builds, arrival
+// batching, epoch rescheduling) under the ValidatingScheduler with the
+// envelope oracle on. Arrival ids are shuffled within small windows to
+// mimic failover re-deliveries, so pending is not always in id order.
 class EnvelopeBatchFuzz : public ::testing::TestWithParam<uint64_t> {};
 
 TEST_P(EnvelopeBatchFuzz, BatchedFastPathsMatchOracle) {
@@ -418,7 +416,7 @@ TEST_P(EnvelopeBatchFuzz, BatchedFastPathsMatchOracle) {
   EXPECT_GT(counters.major_reschedules, 0);
   if (options.reschedule_epoch > 1) {
     // Epoch visits were at least attempted; when they fired, the oracle
-    // also checked the unrefreshed-cache candidate reads.
+    // also checked their candidates.
     EXPECT_GE(counters.epoch_reuses, 0);
   }
 }

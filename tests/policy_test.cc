@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "sched/scheduler.h"
+#include "test_util.h"
 
 namespace tapejuke {
 namespace {
@@ -116,6 +117,48 @@ TEST_F(PolicyTest, PolicyNames) {
                "oldest-max-requests");
   EXPECT_STREQ(TapePolicyName(TapePolicy::kOldestMaxBandwidth),
                "oldest-max-bandwidth");
+}
+
+// The candidate builder counts every (request, replica) pair but emits
+// each tape's distinct positions in ascending order, and a new Begin
+// forgets the previous set.
+TEST(CandidateBuilderTest, EmitsAscendingDistinctPositions) {
+  TinyRig rig(3, /*capacity_mb=*/16 * 130);  // 130 slots: three bitmap words
+  rig.Place(0, 0, 129);
+  rig.Place(1, 0, 64);
+  rig.Place(2, 0, 3);
+  rig.Place(2, 2, 0);
+  const Catalog catalog = rig.BuildCatalog();
+  const int64_t mb = rig.block_mb();
+
+  CandidateBuilder builder;
+  builder.Begin(rig.jukebox());
+  for (const BlockId block : {0, 2, 1, 0, 2}) {
+    for (const Replica& replica : catalog.ReplicasOf(block)) {
+      builder.Add(replica, /*serves_oldest=*/block == 1);
+    }
+  }
+  const std::vector<TapeCandidate>& candidates = builder.Finish();
+  ASSERT_EQ(candidates.size(), 3u);
+  EXPECT_EQ(candidates[0].tape, 0);
+  EXPECT_EQ(candidates[0].num_requests, 5);
+  EXPECT_EQ(candidates[0].positions,
+            (std::vector<Position>{3 * mb, 64 * mb, 129 * mb}));
+  EXPECT_TRUE(candidates[0].serves_oldest);
+  EXPECT_EQ(candidates[1].num_requests, 0);
+  EXPECT_TRUE(candidates[1].positions.empty());
+  EXPECT_EQ(candidates[2].num_requests, 2);
+  EXPECT_EQ(candidates[2].positions, (std::vector<Position>{0}));
+  EXPECT_FALSE(candidates[2].serves_oldest);
+
+  builder.Begin(rig.jukebox());
+  builder.Add(*catalog.ReplicaOn(1, 0), /*serves_oldest=*/false);
+  const std::vector<TapeCandidate>& again = builder.Finish();
+  EXPECT_EQ(again[0].num_requests, 1);
+  EXPECT_EQ(again[0].positions, (std::vector<Position>{64 * mb}));
+  EXPECT_FALSE(again[0].serves_oldest);
+  EXPECT_EQ(again[2].num_requests, 0);
+  EXPECT_TRUE(again[2].positions.empty());
 }
 
 }  // namespace

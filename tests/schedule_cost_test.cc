@@ -4,6 +4,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <vector>
+
+#include "util/rng.h"
+
 namespace tapejuke {
 namespace {
 
@@ -99,6 +104,45 @@ TEST_F(ScheduleCostTest, NearbyBlocksBeatScatteredBlocks) {
   const double bw_scattered =
       cost_.EstimateVisit(1, 0, 0, scattered).BandwidthMBps();
   EXPECT_GT(bw_clustered, bw_scattered);
+}
+
+// EstimateVisit costs its ascending, distinct input in place. It must
+// equal the reference composition SweepOrder + ExecutionSeconds (which
+// sorts and deduplicates a multiset) bit for bit, since tape choice
+// compares these doubles.
+TEST_F(ScheduleCostTest, EstimateVisitMatchesSweepOrderBitForBit) {
+  Rng rng(2024);
+  for (int trial = 0; trial < 500; ++trial) {
+    std::vector<Position> multiset;
+    const int64_t n = rng.UniformInt(0, 40);
+    for (int64_t i = 0; i < n; ++i) {
+      multiset.push_back(16 * rng.UniformInt(0, 60));
+    }
+    std::vector<Position> distinct = multiset;
+    std::sort(distinct.begin(), distinct.end());
+    distinct.erase(std::unique(distinct.begin(), distinct.end()),
+                   distinct.end());
+    const TapeId target = 1;
+    const Position head = 16 * rng.UniformInt(0, 60);
+    // Mounted (sweep from the head) and unmounted (switch, sweep from 0).
+    for (const TapeId mounted : {target, TapeId{0}, kInvalidTape}) {
+      const Position start = mounted == target ? head : 0;
+      const double expected_exec = cost_.ExecutionSeconds(
+          start, ScheduleCost::SweepOrder(start, multiset));
+      double expected_switch = 0;
+      if (mounted == kInvalidTape) {
+        expected_switch = model_.SwitchTime();
+      } else if (mounted != target) {
+        expected_switch = model_.FullSwitchTime(head);
+      }
+      const SweepCostBreakdown visit =
+          cost_.EstimateVisit(target, mounted, head, distinct);
+      EXPECT_EQ(visit.execution_seconds, expected_exec);
+      EXPECT_EQ(visit.switch_seconds, expected_switch);
+      EXPECT_EQ(visit.blocks, static_cast<int64_t>(distinct.size()));
+      EXPECT_EQ(visit.bytes_mb, visit.blocks * 16);
+    }
+  }
 }
 
 }  // namespace
