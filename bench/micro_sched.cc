@@ -13,10 +13,9 @@
 //    requests (the reference is only timed up to 1000 requests; above
 //    that its O(rounds * n log n) re-sorts make timing it pointless);
 //  * steady_state — scheduler-level reschedule/drain/refill cycles at a
-//    constant queue depth, comparing the legacy configuration (linear
-//    tape scan) against the cached fast path (indexed selection heap) and
-//    the batched/epoch policy knobs. This is the deep-queue regime the
-//    fast paths target.
+//    constant queue depth, the default configuration against the
+//    batched/epoch policy knobs. This is the deep-queue regime those knobs
+//    target.
 //
 // --check runs the CI divergence gate instead of the full grid: a 10k-deep
 // steady-state run under ValidatingScheduler with validate_envelope on
@@ -278,7 +277,7 @@ void PrintKernelComparison(const std::vector<KernelTiming>& rows) {
 
 // ---------------------------------------------------------------------------
 // Steady-state scheduler comparison: reschedule/drain/refill cycles at a
-// constant queue depth, legacy configuration vs the cached fast paths.
+// constant queue depth, default configuration vs the batching knobs.
 // ---------------------------------------------------------------------------
 
 struct SteadyRow {
@@ -286,7 +285,6 @@ struct SteadyRow {
   int depth = 0;
   int tapes = 0;
   double ns_per_reschedule = 0;
-  double speedup_vs_legacy = 0;  ///< 0 for the legacy row itself
   double served_per_reschedule = 0;
   double rounds_per_reschedule = 0;
   double rescored_per_reschedule = 0;
@@ -353,24 +351,19 @@ struct SteadyMode {
 };
 
 std::vector<SteadyMode> SteadyModes() {
-  // legacy — linear tape scan each extension round.
-  SchedulerOptions legacy;
-  legacy.use_selection_heap = false;
-  // cached — the equivalence-preserving fast path (identical schedules).
-  SchedulerOptions cached;  // defaults: selection heap on
-  // cached+batched — policy knobs stacked on top: arrivals coalesced in
-  // batches of 256, one envelope reused for up to 4 tape visits.
-  SchedulerOptions batched = cached;
+  // default — every reschedule runs the extension kernel.
+  SchedulerOptions defaults;
+  // batched — policy knobs on top: arrivals coalesced in batches of 256,
+  // one envelope reused for up to 4 tape visits.
+  SchedulerOptions batched = defaults;
   batched.arrival_batch = 256;
   batched.reschedule_epoch = 4;
-  return {{"legacy", legacy}, {"cached", cached},
-          {"cached+batched", batched}};
+  return {{"default", defaults}, {"batched", batched}};
 }
 
 /// Timed visits per depth: fixed (not adaptive) so every mode at a given
-/// depth runs the exact same cycle indices — the equivalence-preserving
-/// modes then serve identical request sequences and the per-visit means
-/// are directly comparable.
+/// depth runs the exact same cycle indices and the per-visit means are
+/// directly comparable.
 int SteadyWindow(int depth) {
   if (depth >= 100000) return 8;
   if (depth >= 50000) return 12;
@@ -387,7 +380,6 @@ std::vector<SteadyRow> RunSteadyComparison(const std::vector<int>& depths) {
   std::vector<SteadyRow> rows;
   const int32_t tapes = 10;
   for (const int depth : depths) {
-    double legacy_ns = 0;
     for (const SteadyMode& mode : SteadyModes()) {
       SteadyDriver driver(tapes, depth, mode.options);
       // Reach steady state (scratch buffers warm, envelope persisted)
@@ -418,11 +410,6 @@ std::vector<SteadyRow> RunSteadyComparison(const std::vector<int>& depths) {
       row.depth = depth;
       row.tapes = tapes;
       row.ns_per_reschedule = best_window_ns / window;
-      if (row.mode == "legacy") {
-        legacy_ns = row.ns_per_reschedule;
-      } else if (legacy_ns > 0) {
-        row.speedup_vs_legacy = legacy_ns / row.ns_per_reschedule;
-      }
       // Counters accumulate over every rep; the per-visit rates are exact
       // regardless of which rep had the cleanest timing.
       const auto per_visit = [&](int64_t delta) {
@@ -445,7 +432,7 @@ void PrintSteadyComparison(const std::vector<SteadyRow>& rows) {
   std::cout << "\nSteady-state MajorReschedule cost (10 tapes, NR-2, "
                "hot-only draws, constant depth)\n";
   std::cout << std::setw(8) << "depth" << std::setw(16) << "mode"
-            << std::setw(16) << "ns/resched" << std::setw(10) << "speedup"
+            << std::setw(16) << "ns/resched"
             << std::setw(10) << "served" << std::setw(10) << "rounds"
             << std::setw(12) << "rescored" << std::setw(8) << "epochs"
             << "\n";
@@ -453,8 +440,6 @@ void PrintSteadyComparison(const std::vector<SteadyRow>& rows) {
     std::cout << std::setw(8) << row.depth << std::setw(16) << row.mode
               << std::setw(16) << std::fixed << std::setprecision(0)
               << row.ns_per_reschedule << std::setw(10)
-              << std::setprecision(2) << row.speedup_vs_legacy
-              << std::setw(10) << std::setprecision(0)
               << row.served_per_reschedule << std::setw(10)
               << std::setprecision(1) << row.rounds_per_reschedule
               << std::setw(12) << row.rescored_per_reschedule
@@ -478,7 +463,7 @@ CheckStats RunDivergenceCheck() {
   const int depth = 10000;
   const int kVisits = 6;
   SchedRig rig(tapes, /*num_replicas=*/2);
-  SchedulerOptions options;  // selection heap on by default
+  SchedulerOptions options;
   options.validate_envelope = true;
   options.arrival_batch = 256;
   ValidatingScheduler sched(
@@ -548,7 +533,6 @@ void WriteResults(const std::string& results_dir,
     w.Field("depth", row.depth);
     w.Field("num_tapes", row.tapes);
     w.Field("ns_per_reschedule", row.ns_per_reschedule);
-    w.Field("speedup_vs_legacy", row.speedup_vs_legacy);
     w.Field("served_per_reschedule", row.served_per_reschedule);
     w.Field("extension_rounds_per_reschedule", row.rounds_per_reschedule);
     w.Field("tapes_rescored_per_reschedule", row.rescored_per_reschedule);

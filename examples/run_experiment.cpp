@@ -178,7 +178,7 @@ int main(int argc, char** argv) {
     return 0;
   }
 
-  // Multi-drive path (single-drive scheduling policies only).
+  // Multi-drive path (the static and dynamic greedy algorithms only).
   if (drives > 1) {
     Jukebox jukebox(config.jukebox);
     const StatusOr<Catalog> catalog =
@@ -187,14 +187,16 @@ int main(int argc, char** argv) {
       std::cerr << catalog.status() << "\n";
       return 1;
     }
-    MultiDriveConfig drive_config;
-    drive_config.num_drives = static_cast<int32_t>(drives);
-    drive_config.policy = config.algorithm.policy;
-    MultiDriveSimulator sim(&jukebox, &catalog.value(), drive_config,
+    const StatusOr<MultiDriveConfig> drive_config =
+        MultiDriveConfigFor(config.algorithm, static_cast<int32_t>(drives));
+    if (!drive_config.ok()) {
+      std::cerr << drive_config.status() << "\n";
+      return 1;
+    }
+    MultiDriveSimulator sim(&jukebox, &catalog.value(), *drive_config,
                             config.sim);
     const SimulationResult result = sim.Run();
-    PrintResult(std::to_string(drives) + "-drive " +
-                    std::string(TapePolicyName(config.algorithm.policy)),
+    PrintResult(std::to_string(drives) + "-drive " + config.algorithm.Name(),
                 LayoutBuilder::ComputeStats(jukebox, catalog.value()),
                 result);
     std::cout << "robot wait (s): " << sim.stats().robot_wait_seconds

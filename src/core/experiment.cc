@@ -90,6 +90,22 @@ std::vector<AlgorithmSpec> AlgorithmSpec::AllPaperAlgorithms() {
   return all;
 }
 
+StatusOr<MultiDriveConfig> MultiDriveConfigFor(const AlgorithmSpec& spec,
+                                               int32_t num_drives) {
+  if (spec.kind != AlgorithmKind::kStatic &&
+      spec.kind != AlgorithmKind::kDynamic) {
+    return Status::InvalidArgument(
+        "multi-drive farm boxes dispatch by tape policy and support only "
+        "the static and dynamic greedy algorithms");
+  }
+  MultiDriveConfig config;
+  config.num_drives = num_drives;
+  config.policy = spec.policy;
+  config.dynamic_insertion = spec.kind == AlgorithmKind::kDynamic;
+  config.options = spec.options;
+  return config;
+}
+
 std::unique_ptr<Scheduler> CreateScheduler(const AlgorithmSpec& spec,
                                            const Jukebox* jukebox,
                                            const Catalog* catalog) {

@@ -19,6 +19,7 @@
 #include "layout/placement.h"
 #include "sched/scheduler.h"
 #include "sim/metrics.h"
+#include "sim/multi_drive.h"
 #include "sim/simulator.h"
 #include "tape/jukebox.h"
 #include "util/status.h"
@@ -57,6 +58,13 @@ struct AlgorithmSpec {
 std::unique_ptr<Scheduler> CreateScheduler(const AlgorithmSpec& spec,
                                            const Jukebox* jukebox,
                                            const Catalog* catalog);
+
+/// The multi-drive engine's configuration for `spec` on `num_drives`
+/// drives: the tape policy, dynamic insertion for the dynamic family, and
+/// the scheduler options. The engine dispatches by tape policy, so fifo
+/// and envelope extension return InvalidArgument.
+StatusOr<MultiDriveConfig> MultiDriveConfigFor(const AlgorithmSpec& spec,
+                                               int32_t num_drives);
 
 /// Everything needed to reproduce one simulation run.
 struct ExperimentConfig {

@@ -49,12 +49,9 @@ Status FarmConfig::Validate() const {
         "runs at least one process per box)");
   }
   if (drives_per_jukebox > 1) {
-    if (per_jukebox.algorithm.kind != AlgorithmKind::kStatic &&
-        per_jukebox.algorithm.kind != AlgorithmKind::kDynamic) {
-      return Status::InvalidArgument(
-          "multi-drive farm boxes dispatch by tape policy and support only "
-          "the static and dynamic greedy algorithms");
-    }
+    const StatusOr<MultiDriveConfig> drives =
+        MultiDriveConfigFor(per_jukebox.algorithm, drives_per_jukebox);
+    if (!drives.ok()) return drives.status();
     if (per_jukebox.sim.repair.enabled()) {
       return Status::InvalidArgument(
           "scrub/repair is single-drive only; use drives_per_jukebox = 1");
@@ -136,11 +133,8 @@ FarmSimulator::BoxOutput FarmSimulator::RunBox(int32_t index) const {
     out.CaptureTimeline(sim);
     return out;
   }
-  MultiDriveConfig drives;
-  drives.num_drives = config_.drives_per_jukebox;
-  drives.policy = cfg.algorithm.policy;
-  drives.dynamic_insertion = cfg.algorithm.kind == AlgorithmKind::kDynamic;
-  drives.options = cfg.algorithm.options;
+  const MultiDriveConfig drives =
+      MultiDriveConfigFor(cfg.algorithm, config_.drives_per_jukebox).value();
   MultiDriveSimulator sim(&jukebox, &catalog.value(), drives, cfg.sim);
   SimulationResult result = sim.Run();
   BoxOutput out{std::move(result), sim.metrics(), sim.counters()};

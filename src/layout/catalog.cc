@@ -28,19 +28,6 @@ Catalog::Catalog(std::vector<std::vector<Replica>> replicas, int64_t num_hot)
   }
 }
 
-const Replica* Catalog::ReplicaOn(BlockId block, TapeId tape) const {
-  for (const Replica& r : ReplicasOf(block)) {
-    if (r.tape == tape) return &r;
-  }
-  return nullptr;
-}
-
-const Replica* Catalog::LiveReplicaOn(BlockId block, TapeId tape) const {
-  const Replica* r = ReplicaOn(block, tape);
-  if (r != nullptr && !IsAlive(*r)) return nullptr;
-  return r;
-}
-
 void Catalog::EnsureDeadMask() {
   if (!dead_.empty()) return;
   dead_.assign(flat_.size(), 0);

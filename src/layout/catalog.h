@@ -92,11 +92,20 @@ class Catalog {
   int64_t TotalCopies() const { return static_cast<int64_t>(flat_.size()); }
 
   /// The replica of `block` on `tape`, or nullptr if none.
-  const Replica* ReplicaOn(BlockId block, TapeId tape) const;
+  const Replica* ReplicaOn(BlockId block, TapeId tape) const {
+    for (const Replica& r : ReplicasOf(block)) {
+      if (r.tape == tape) return &r;
+    }
+    return nullptr;
+  }
 
   /// Like ReplicaOn, but returns nullptr when the copy exists and has been
   /// masked dead by a permanent media error.
-  const Replica* LiveReplicaOn(BlockId block, TapeId tape) const;
+  const Replica* LiveReplicaOn(BlockId block, TapeId tape) const {
+    const Replica* r = ReplicaOn(block, tape);
+    if (r != nullptr && !IsAlive(*r)) return nullptr;
+    return r;
+  }
 
   /// True unless `r` was masked dead by MarkReplicaDead/MarkTapeDead. `r`
   /// must reference an element of this catalog's storage (any replica

@@ -1,11 +1,9 @@
 #include "sched/envelope_scheduler.h"
 
 #include <algorithm>
-#include <functional>
 #include <utility>
 
 #include "util/check.h"
-#include "util/indexed_heap.h"
 
 namespace tapejuke {
 
@@ -82,59 +80,6 @@ TapeId SelectBestTape(const std::vector<std::vector<Ext>>& ext,
   TapeId best = kInvalidTape;
   for (TapeId t = 0; t < num_tapes; ++t) {
     if (ext[static_cast<size_t>(t)].empty()) continue;
-    bool better;
-    if (best == kInvalidTape) {
-      better = true;
-    } else if (NearlyEqual(score[static_cast<size_t>(t)].bw,
-                           score[static_cast<size_t>(best)].bw)) {
-      const int64_t c_t = counts[static_cast<size_t>(t)];
-      const int64_t c_b = counts[static_cast<size_t>(best)];
-      better = c_t > c_b ||
-               (c_t == c_b && ScanRankFrom(t, mounted, num_tapes) <
-                                  ScanRankFrom(best, mounted, num_tapes));
-    } else {
-      better = score[static_cast<size_t>(t)].bw >
-               score[static_cast<size_t>(best)].bw;
-    }
-    if (better) best = t;
-  }
-  return best;
-}
-
-/// Heap-backed tape selection, exactly equivalent to SelectBestTape.
-///
-/// The linear scan's winner always lies in the *top group* G: the maximal
-/// prefix of tapes (sorted by score descending) whose adjacent scores are
-/// NearlyEqual. Proof: let the chain break between v_k and v_{k+1}
-/// (v_k - v_{k+1} > eps*v_k). For any g in G (bw_g >= v_k) and x outside
-/// (bw_x <= v_{k+1}): bw_g - bw_x >= (bw_g - v_k) + (v_k - v_{k+1}) >
-/// (bw_g - v_k) + eps*v_k >= eps*bw_g since eps <= 1 — so g and x are NOT
-/// NearlyEqual and g strictly beats x under the scan's comparison. Hence
-/// once the scan reaches the first member of G, its running best stays in
-/// G, and the comparisons among G members are exactly those of a scan
-/// restricted to G in ascending tape order.
-///
-/// So: pop the adjacent-NearlyEqual group off the heap top (pops come out
-/// in non-increasing score order), restore it, and run the original
-/// tie-break over the group in ascending tape order.
-TapeId SelectBestTapeFromHeap(const std::vector<TapeScore>& score,
-                              const std::vector<int64_t>& counts,
-                              TapeId mounted, int32_t num_tapes,
-                              IndexedMaxHeap<double, std::less<double>>* heap,
-                              std::vector<std::pair<size_t, double>>* group) {
-  if (heap->empty()) return kInvalidTape;
-  group->clear();
-  double prev = heap->TopValue();
-  group->emplace_back(heap->Pop(), prev);
-  while (!heap->empty() && NearlyEqual(heap->TopValue(), prev)) {
-    prev = heap->TopValue();
-    group->emplace_back(heap->Pop(), prev);
-  }
-  for (const auto& [key, value] : *group) heap->Set(key, value);
-  std::sort(group->begin(), group->end());  // ascending tape id
-  TapeId best = kInvalidTape;
-  for (const auto& [key, value] : *group) {
-    const TapeId t = static_cast<TapeId>(key);
     bool better;
     if (best == kInvalidTape) {
       better = true;
@@ -236,10 +181,11 @@ void CheckEnvelopeResultsEqual(
 }
 
 /// The naive candidate walk over pending x live replicas: positions in
-/// pending order, repeated once per request. Oracle for
+/// pending order, repeated once per request, and the pending index of
+/// every request counted. Oracle for
 /// EnvelopeScheduler::BuildEnvelopeCandidates.
 std::vector<TapeCandidate> CandidatesWithinEnvelope(
-    const Catalog& catalog, const std::deque<Request>& pending,
+    const Catalog& catalog, const std::vector<Request>& pending,
     const std::vector<Position>& envelope, int64_t block_mb,
     int32_t num_tapes) {
   std::vector<TapeCandidate> candidates(static_cast<size_t>(num_tapes));
@@ -247,15 +193,16 @@ std::vector<TapeCandidate> CandidatesWithinEnvelope(
     candidates[static_cast<size_t>(t)].tape = t;
   }
   const RequestId oldest = pending.front().id;
-  for (const Request& request : pending) {
+  for (size_t i = 0; i < pending.size(); ++i) {
+    const Request& request = pending[i];
     for (const Replica& replica : catalog.ReplicasOf(request.block)) {
       if (!catalog.IsAlive(replica)) continue;
       if (replica.position + block_mb <=
           envelope[static_cast<size_t>(replica.tape)]) {
         TapeCandidate& c = candidates[static_cast<size_t>(replica.tape)];
-        ++c.num_requests;
         c.positions.push_back(replica.position);
         if (request.id == oldest) c.serves_oldest = true;
+        c.requests.push_back(static_cast<uint32_t>(i));
       }
     }
   }
@@ -263,11 +210,12 @@ std::vector<TapeCandidate> CandidatesWithinEnvelope(
 }
 
 /// Debug oracle: the slot-ordered candidates must match the naive walk —
-/// counts, oldest-request flags, and positions, which must be exactly the
-/// walk's distinct positions in ascending order.
+/// counts, oldest-request flags, the recorded pending indices, and
+/// positions, which must be exactly the walk's distinct positions in
+/// ascending order.
 void CheckCandidatesMatchSlowWalk(
     const std::vector<TapeCandidate>& candidates, const Catalog& catalog,
-    const std::deque<Request>& pending,
+    const std::vector<Request>& pending,
     const std::vector<Position>& envelope, int64_t block_mb,
     int32_t num_tapes) {
   const std::vector<TapeCandidate> slow = CandidatesWithinEnvelope(
@@ -275,9 +223,9 @@ void CheckCandidatesMatchSlowWalk(
   TJ_CHECK_EQ(candidates.size(), slow.size());
   for (size_t t = 0; t < slow.size(); ++t) {
     TJ_CHECK_EQ(candidates[t].tape, slow[t].tape);
-    TJ_CHECK_EQ(candidates[t].num_requests, slow[t].num_requests)
-        << "candidate count diverged on tape" << slow[t].tape;
     TJ_CHECK_EQ(candidates[t].serves_oldest, slow[t].serves_oldest);
+    TJ_CHECK(candidates[t].requests == slow[t].requests)
+        << "recorded pending indices diverged on tape" << slow[t].tape;
     std::vector<Position> distinct = slow[t].positions;
     std::sort(distinct.begin(), distinct.end());
     distinct.erase(std::unique(distinct.begin(), distinct.end()),
@@ -303,6 +251,9 @@ struct EnvelopeScheduler::KernelState {
   std::vector<Request> unscheduled;
   /// In-envelope replicas of one request (TryAbsorb and step 5).
   std::vector<const Replica*> inside;
+  /// Per input request: its sole live replica, or nullptr when it has none
+  /// or several (recorded by step 1 for the incremental kernel's step 2).
+  std::vector<const Replica*> sole;
   int64_t shrinks_done = 0;
   int64_t max_shrinks = 0;
   /// When false, the per-request assignment map is not materialized (the
@@ -323,15 +274,12 @@ struct EnvelopeScheduler::KernelState {
 /// path performs no per-call allocation once the buffers are warm.
 struct EnvelopeScheduler::KernelScratch {
   KernelState state;
-  std::vector<Request> requests;  ///< MajorReschedule's pending snapshot
   std::vector<std::vector<Ext>> ext;
   SlotCountingSort ext_sort;  ///< orders `ext` by slot, one group per tape
   std::vector<TapeScore> score;
   std::vector<char> dirty;
   std::vector<char> done;
   std::vector<size_t> enclosed;
-  std::vector<std::pair<size_t, double>> group;
-  IndexedMaxHeap<double, std::less<double>> heap;
 };
 
 EnvelopeScheduler::EnvelopeScheduler(const Jukebox* jukebox,
@@ -407,8 +355,8 @@ bool EnvelopeScheduler::TryAbsorb(const Request& request, KernelState* state,
 }
 
 void EnvelopeScheduler::BuildInitialEnvelope(
-    const std::vector<Request>& requests, KernelState* state,
-    EnvelopeCounters* counters) const {
+    const std::vector<Request>& requests, bool assign_sole,
+    KernelState* state, EnvelopeCounters* counters) const {
   const int32_t num_tapes = jukebox_->num_tapes();
   const int64_t block_mb = jukebox_->config().block_size_mb;
   const TapeId mounted = jukebox_->mounted_tape();
@@ -434,10 +382,12 @@ void EnvelopeScheduler::BuildInitialEnvelope(
   // initial envelope; the mounted tape's envelope covers the head. A block
   // with exactly one *live* replica counts as non-replicated (dead copies
   // cannot serve it).
-  for (const Request& request : requests) {
+  auto& sole = state->sole;
+  sole.assign(requests.size(), nullptr);
+  for (size_t i = 0; i < requests.size(); ++i) {
     const Replica* sole_live = nullptr;
     bool multiple_live = false;
-    for (const Replica& replica : catalog_->ReplicasOf(request.block)) {
+    for (const Replica& replica : catalog_->ReplicasOf(requests[i].block)) {
       if (!catalog_->IsAlive(replica)) continue;
       if (sole_live != nullptr) {
         multiple_live = true;
@@ -448,6 +398,7 @@ void EnvelopeScheduler::BuildInitialEnvelope(
     if (sole_live != nullptr && !multiple_live) {
       Position& edge = env[static_cast<size_t>(sole_live->tape)];
       edge = std::max(edge, sole_live->position + block_mb);
+      sole[i] = sole_live;
     }
   }
   if (mounted != kInvalidTape) {
@@ -455,10 +406,17 @@ void EnvelopeScheduler::BuildInitialEnvelope(
         std::max(env[static_cast<size_t>(mounted)], jukebox_->head());
   }
 
-  // Step 2: absorb every request with a replica inside the envelope.
-  for (const Request& request : requests) {
-    if (!TryAbsorb(request, state, counters)) {
-      state->unscheduled.push_back(request);
+  // Step 2: absorb every request with a replica inside the envelope. A
+  // sole live replica always is (step 1 pinned the envelope over it), and
+  // TryAbsorb would pick it as the only candidate, so with `assign_sole`
+  // those requests are assigned directly.
+  for (size_t i = 0; i < requests.size(); ++i) {
+    if (assign_sole && sole[i] != nullptr) {
+      TJ_DCHECK(sole[i]->position + block_mb <=
+                env[static_cast<size_t>(sole[i]->tape)]);
+      state->Assign(requests[i], *sole[i]);
+    } else if (!TryAbsorb(requests[i], state, counters)) {
+      state->unscheduled.push_back(requests[i]);
     }
   }
   state->result.initial_envelope = env;
@@ -556,7 +514,7 @@ void EnvelopeScheduler::RunIncrementalKernel(
 
   KernelState& state = *state_ptr;
   state.want_assignment = want_assignment;
-  BuildInitialEnvelope(requests, &state, counters);
+  BuildInitialEnvelope(requests, /*assign_sole=*/true, &state, counters);
   auto& env = state.result.envelope;
   auto& counts = state.result.scheduled_per_tape;
   const std::vector<Request>& unscheduled = state.unscheduled;
@@ -603,9 +561,6 @@ void EnvelopeScheduler::RunIncrementalKernel(
   auto& done = scratch.done;
   done.assign(n, 0);
   size_t remaining = n;
-  const bool use_heap = options_.use_selection_heap;
-  auto& heap = scratch.heap;
-  if (use_heap) heap.Reset(static_cast<size_t>(num_tapes));
 
   // Schedules unscheduled[uid] on `replica` and invalidates the cached
   // score of every tape whose extension list held an entry for it.
@@ -620,8 +575,7 @@ void EnvelopeScheduler::RunIncrementalKernel(
   };
 
   while (remaining > 0) {
-    // Step 3 (cached): compact and re-score only the dirty tapes; the heap
-    // absorbs the same updates, so its top is the best-scored tape.
+    // Step 3 (cached): compact and re-score only the dirty tapes.
     for (TapeId t = 0; t < num_tapes; ++t) {
       if (!dirty[static_cast<size_t>(t)]) continue;
       dirty[static_cast<size_t>(t)] = 0;
@@ -629,10 +583,7 @@ void EnvelopeScheduler::RunIncrementalKernel(
       list.erase(std::remove_if(list.begin(), list.end(),
                                 [&](const Ext& e) { return done[e.uid]; }),
                  list.end());
-      if (list.empty()) {
-        if (use_heap) heap.Remove(static_cast<size_t>(t));
-        continue;
-      }
+      if (list.empty()) continue;
       const double surcharge =
           (env[static_cast<size_t>(t)] == 0 && t != mounted)
               ? model.SwitchTime()
@@ -640,9 +591,6 @@ void EnvelopeScheduler::RunIncrementalKernel(
       score[static_cast<size_t>(t)] = ScorePrefixes(
           model, list, env[static_cast<size_t>(t)], surcharge, block_mb);
       ++counters->tapes_rescored;
-      if (use_heap) {
-        heap.Set(static_cast<size_t>(t), score[static_cast<size_t>(t)].bw);
-      }
     }
 
     if (options_.validate_envelope) {
@@ -667,10 +615,7 @@ void EnvelopeScheduler::RunIncrementalKernel(
           TJ_CHECK_EQ(fresh[k].uid, list[k].uid);
           TJ_CHECK(fresh[k].replica == list[k].replica);
         }
-        if (list.empty()) {
-          TJ_CHECK(!use_heap || !heap.Contains(static_cast<size_t>(t)));
-          continue;
-        }
+        if (list.empty()) continue;
         const double surcharge =
             (env[static_cast<size_t>(t)] == 0 && t != mounted)
                 ? model.SwitchTime()
@@ -680,27 +625,11 @@ void EnvelopeScheduler::RunIncrementalKernel(
         TJ_CHECK_EQ(fresh_score.bw, score[static_cast<size_t>(t)].bw)
             << "stale cached score on tape" << t;
         TJ_CHECK_EQ(fresh_score.len, score[static_cast<size_t>(t)].len);
-        if (use_heap) {
-          TJ_CHECK(heap.Contains(static_cast<size_t>(t)))
-              << "tape" << t << "with candidates missing from the heap";
-          TJ_CHECK_EQ(heap.ValueOf(static_cast<size_t>(t)),
-                      score[static_cast<size_t>(t)].bw);
-        }
       }
     }
 
-    TapeId best_tape;
-    if (use_heap) {
-      best_tape = SelectBestTapeFromHeap(score, counts, mounted, num_tapes,
-                                         &heap, &scratch.group);
-      if (options_.validate_envelope) {
-        TJ_CHECK_EQ(best_tape,
-                    SelectBestTape(ext, score, counts, mounted, num_tapes))
-            << "heap-backed tape selection diverged from the linear scan";
-      }
-    } else {
-      best_tape = SelectBestTape(ext, score, counts, mounted, num_tapes);
-    }
+    const TapeId best_tape =
+        SelectBestTape(ext, score, counts, mounted, num_tapes);
     TJ_CHECK_NE(best_tape, kInvalidTape)
         << "unscheduled request without replicas";
     ++counters->extension_rounds;
@@ -756,7 +685,7 @@ EnvelopeScheduler::EnvelopeResult EnvelopeScheduler::RunReferenceKernel(
   const TimingModel& model = jukebox_->model();
 
   KernelState state;
-  BuildInitialEnvelope(requests, &state, counters);
+  BuildInitialEnvelope(requests, /*assign_sole=*/false, &state, counters);
   auto& env = state.result.envelope;
   auto& counts = state.result.scheduled_per_tape;
   const std::vector<Request>& unscheduled = state.unscheduled;
@@ -858,12 +787,14 @@ const std::vector<TapeCandidate>& EnvelopeScheduler::BuildEnvelopeCandidates(
   const int64_t block_mb = jukebox_->config().block_size_mb;
   candidate_builder_.Begin(*jukebox_);
   const RequestId oldest = pending_.front().id;
-  for (const Request& request : pending_) {
+  for (size_t i = 0; i < pending_.size(); ++i) {
+    const Request& request = pending_[i];
     for (const Replica& replica : catalog_->ReplicasOf(request.block)) {
       if (!catalog_->IsAlive(replica)) continue;
       if (replica.position + block_mb <=
           envelope[static_cast<size_t>(replica.tape)]) {
-        candidate_builder_.Add(replica, request.id == oldest);
+        candidate_builder_.Add(replica, request.id == oldest,
+                               static_cast<uint32_t>(i));
       }
     }
   }
@@ -886,8 +817,7 @@ TapeId EnvelopeScheduler::TryEpochReschedule() {
                  jukebox_->head(), jukebox_->num_tapes(), cost_);
   if (tape == kInvalidTape) return kInvalidTape;
   RecordDecision(/*background=*/false, tape, candidates);
-  const Position limit = envelope_[static_cast<size_t>(tape)];
-  ExtractAndBuildSweep(tape, &limit);
+  ExtractAndBuildSweep(candidates[static_cast<size_t>(tape)]);
   TJ_CHECK(!sweep_.empty());
   PiggybackBackground(tape);
   return tape;
@@ -918,23 +848,21 @@ TapeId EnvelopeScheduler::MajorReschedule() {
     // Nothing pending is inside the stale envelope: recompute below.
   }
 
-  KernelScratch& scratch = Scratch();
-  std::vector<Request>& requests = scratch.requests;
-  requests.assign(pending_.begin(), pending_.end());
   ++counters_.major_reschedules;
   const int64_t rounds_before = counters_.extension_rounds;
   const int64_t rescored_before = counters_.tapes_rescored;
-  // The assignment map is only materialized for the oracle comparison;
-  // the reschedule itself consumes the envelope alone.
-  KernelState& state = scratch.state;
-  RunIncrementalKernel(requests, &counters_,
+  // The kernel reads the pending list in place (it stays unchanged until
+  // the extraction below). The assignment map is only materialized for the
+  // oracle comparison; the reschedule itself consumes the envelope alone.
+  KernelState& state = Scratch().state;
+  RunIncrementalKernel(pending_, &counters_,
                        /*want_assignment=*/options_.validate_envelope,
                        &state);
   const std::vector<Position>& envelope = state.result.envelope;
   if (options_.validate_envelope) {
     EnvelopeCounters reference_counters;
     CheckEnvelopeResultsEqual(state.result,
-                              RunReferenceKernel(requests,
+                              RunReferenceKernel(pending_,
                                                  &reference_counters));
   }
 
@@ -950,8 +878,7 @@ TapeId EnvelopeScheduler::MajorReschedule() {
   RecordDecision(/*background=*/false, tape, candidates,
                  counters_.extension_rounds - rounds_before,
                  counters_.tapes_rescored - rescored_before);
-  const Position limit = envelope[static_cast<size_t>(tape)];
-  ExtractAndBuildSweep(tape, &limit);
+  ExtractAndBuildSweep(candidates[static_cast<size_t>(tape)]);
   TJ_CHECK(!sweep_.empty());
   // Background riders may lie beyond the envelope edge: the mount is paid
   // for anyway, and client insertions never depend on riders (the sweep
@@ -973,7 +900,7 @@ std::vector<Request> EnvelopeScheduler::DrainSweep() {
 void EnvelopeScheduler::DeferInOrder(const Request& request) {
   // A trimmed block's riders go back to the background queue, not the
   // client pending list (they must never pin a client envelope).
-  std::deque<Request>& queue =
+  std::vector<Request>& queue =
       request.cls == RequestClass::kBackground ? background_ : pending_;
   auto it = std::lower_bound(
       queue.begin(), queue.end(), request.id,

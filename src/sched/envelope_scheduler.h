@@ -22,20 +22,23 @@
 // The extension kernel is *incremental*: the per-tape extension lists are
 // maintained in place as requests are scheduled, and per-tape
 // prefix-bandwidth scores are cached and re-evaluated only for tapes whose
-// envelope edge or list contents changed since the last round. Each major
-// reschedule rebuilds its inputs from the pending list without comparison
-// sorts or heap allocation: extension lists and tape-choice candidates are
-// ordered by counting replica slots (a replica's position is slot * block
-// size), and every temporary lives in scratch owned by the scheduler. Two
-// fast paths stack on top for deep queues (see docs/PERFORMANCE.md for the
-// methodology and docs/ALGORITHM.md for the equivalence arguments):
-//
-//  * heap-backed tape selection (SchedulerOptions::use_selection_heap):
-//    per-tape best-prefix scores live on an indexed max-heap so each round
-//    re-heapifies only the dirty tapes instead of scanning all of them;
-//  * batched arrivals / epoch rescheduling (SchedulerOptions::
-//    arrival_batch, reschedule_epoch): policy knobs that amortize the
-//    kernel over many arrivals or tape visits.
+// envelope edge or list contents changed since the last round. Step 2
+// assigns each request with a sole live replica to it directly (step 1
+// pinned the envelope over it); only replicated requests go through the
+// in-envelope walk and the tie-break. Each major reschedule rebuilds its
+// inputs from the pending list without comparison sorts or heap
+// allocation: extension lists and tape-choice candidates are ordered by
+// counting replica slots (a replica's position is slot * block size), the
+// candidates record the pending indices the chosen tape's sweep is then
+// extracted from, and every temporary lives in scratch owned by the
+// scheduler. Batched arrivals and epoch rescheduling
+// (SchedulerOptions::arrival_batch, reschedule_epoch) are policy knobs
+// that amortize the kernel over many arrivals or tape visits. At the
+// Fig. 8 point (140 pending, 10 tapes, NR-9) a major reschedule takes
+// about 13 us at the median on a 4-vCPU Xeon host, and about 1.3 ms at a
+// steady 10,000-deep queue in bench/micro_sched (see docs/PERFORMANCE.md
+// for the measurements and docs/ALGORITHM.md for the equivalence
+// arguments).
 //
 // The original from-scratch computation is kept as
 // ComputeUpperEnvelopeReference and serves as the correctness oracle
@@ -137,9 +140,12 @@ class EnvelopeScheduler : public Scheduler {
   struct KernelScratch;
 
   /// Steps 1-2: pins the initial envelope and absorbs every request with
-  /// an in-envelope replica; fills state->unscheduled with the rest.
+  /// an in-envelope replica; fills state->unscheduled with the rest. With
+  /// `assign_sole`, requests with a sole live replica are assigned to it
+  /// directly; without, every request goes through TryAbsorb (the
+  /// reference kernel's form).
   void BuildInitialEnvelope(const std::vector<Request>& requests,
-                            KernelState* state,
+                            bool assign_sole, KernelState* state,
                             EnvelopeCounters* counters) const;
 
   /// If some replica of `request` lies inside the envelope, assigns the

@@ -18,7 +18,7 @@ TapeId FifoScheduler::MajorReschedule() {
   FlushArrivals();
   if (pending_.empty()) return BackgroundReschedule();
   const Request oldest = pending_.front();
-  pending_.pop_front();
+  pending_.erase(pending_.begin());
 
   // Prefer a live replica on the mounted tape; otherwise the first live
   // replica. The simulator evicts requests with no live replica before any
@@ -39,7 +39,7 @@ TapeId FifoScheduler::MajorReschedule() {
     // FIFO considers exactly one candidate: the replica it picked.
     TapeCandidate only;
     only.tape = chosen->tape;
-    only.num_requests = 1;
+    only.requests.push_back(0);  // the oldest, at the pending front
     only.positions.push_back(chosen->position);
     only.serves_oldest = true;
     RecordDecision(/*background=*/false, chosen->tape, {only});
@@ -47,7 +47,7 @@ TapeId FifoScheduler::MajorReschedule() {
 
   ServiceEntry entry{chosen->position, oldest.block, {oldest}};
   // Other pending requests for the same block ride along for free.
-  std::deque<Request> keep;
+  std::vector<Request> keep;
   for (const Request& request : pending_) {
     if (request.block == oldest.block) {
       entry.requests.push_back(request);

@@ -44,7 +44,11 @@ TapeId GreedyScheduler::MajorReschedule() {
                  jukebox_->head(), jukebox_->num_tapes(), cost_);
   TJ_CHECK_NE(tape, kInvalidTape);
   RecordDecision(/*background=*/false, tape, candidates);
-  ExtractAndBuildSweep(tape, /*envelope_limit=*/nullptr);
+  const TapeCandidate& chosen = candidates[static_cast<size_t>(tape)];
+  TJ_DCHECK(chosen.requests ==
+            PendingOnTape(*catalog_, tape, jukebox_->config().block_size_mb,
+                          /*envelope_limit=*/nullptr, pending_));
+  ExtractAndBuildSweep(chosen);
   TJ_CHECK(!sweep_.empty());
   PiggybackBackground(tape);
   return tape;

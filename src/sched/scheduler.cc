@@ -1,7 +1,6 @@
 #include "sched/scheduler.h"
 
 #include <algorithm>
-#include <bit>
 
 #include "sched/sweep_builder.h"
 #include "util/check.h"
@@ -42,7 +41,7 @@ TapeId SelectTape(TapePolicy policy, const std::vector<TapeCandidate>& tapes,
   const bool restrict_oldest = policy == TapePolicy::kOldestMaxRequests ||
                                policy == TapePolicy::kOldestMaxBandwidth;
   const auto eligible = [&](const TapeCandidate& c) {
-    return c.num_requests > 0 && (!restrict_oldest || c.serves_oldest);
+    return !c.requests.empty() && (!restrict_oldest || c.serves_oldest);
   };
 
   if (policy == TapePolicy::kRoundRobin) {
@@ -75,7 +74,7 @@ TapeId SelectTape(TapePolicy policy, const std::vector<TapeCandidate>& tapes,
       score = cost.EstimateVisit(c.tape, mounted, head, c.positions)
                   .BandwidthMBps();
     } else {
-      score = static_cast<double>(c.num_requests);
+      score = static_cast<double>(c.num_requests());
     }
     const int32_t rank = ScanRank(c.tape, mounted, num_tapes);
     if (score > best_score ||
@@ -90,43 +89,25 @@ TapeId SelectTape(TapePolicy policy, const std::vector<TapeCandidate>& tapes,
 
 void CandidateBuilder::Begin(const Jukebox& jukebox) {
   const size_t num_tapes = static_cast<size_t>(jukebox.num_tapes());
-  words_per_tape_ = static_cast<size_t>(jukebox.slots_per_tape() + 63) / 64;
   block_size_mb_ = jukebox.config().block_size_mb;
   candidates_.resize(num_tapes);
   for (size_t t = 0; t < num_tapes; ++t) {
     TapeCandidate& c = candidates_[t];
     c.tape = static_cast<TapeId>(t);
-    c.num_requests = 0;
     c.positions.clear();
     c.serves_oldest = false;
+    c.requests.clear();
   }
-  slots_.assign(num_tapes * words_per_tape_, 0);
-}
-
-void CandidateBuilder::Add(const Replica& replica, bool serves_oldest) {
-  TJ_DCHECK(replica.slot >= 0 &&
-            static_cast<size_t>(replica.slot) < words_per_tape_ * 64);
-  TJ_DCHECK(replica.position == replica.slot * block_size_mb_);
-  TapeCandidate& c = candidates_[static_cast<size_t>(replica.tape)];
-  ++c.num_requests;
-  if (serves_oldest) c.serves_oldest = true;
-  const size_t slot = static_cast<size_t>(replica.slot);
-  slots_[static_cast<size_t>(replica.tape) * words_per_tape_ + slot / 64] |=
-      uint64_t{1} << (slot % 64);
+  slots_.Reset(num_tapes, jukebox.slots_per_tape());
 }
 
 const std::vector<TapeCandidate>& CandidateBuilder::Finish() {
   for (size_t t = 0; t < candidates_.size(); ++t) {
     TapeCandidate& c = candidates_[t];
-    if (c.num_requests == 0) continue;
-    const uint64_t* words = slots_.data() + t * words_per_tape_;
-    for (size_t w = 0; w < words_per_tape_; ++w) {
-      for (uint64_t bits = words[w]; bits != 0; bits &= bits - 1) {
-        const int64_t slot =
-            static_cast<int64_t>(w * 64) + std::countr_zero(bits);
-        c.positions.push_back(slot * block_size_mb_);
-      }
-    }
+    if (c.requests.empty()) continue;
+    slots_.ForEach(t, [&](int64_t slot) {
+      c.positions.push_back(slot * block_size_mb_);
+    });
   }
   return candidates_;
 }
@@ -173,10 +154,12 @@ void Scheduler::AbsorbStagedToPending() {
 const std::vector<TapeCandidate>& Scheduler::BuildCandidates() {
   candidate_builder_.Begin(*jukebox_);
   const RequestId oldest = pending_.empty() ? -1 : pending_.front().id;
-  for (const Request& request : pending_) {
+  for (size_t i = 0; i < pending_.size(); ++i) {
+    const Request& request = pending_[i];
     for (const Replica& replica : catalog_->ReplicasOf(request.block)) {
       if (!catalog_->IsAlive(replica)) continue;
-      candidate_builder_.Add(replica, request.id == oldest);
+      candidate_builder_.Add(replica, request.id == oldest,
+                             static_cast<uint32_t>(i));
     }
   }
   return candidate_builder_.Finish();
@@ -198,10 +181,10 @@ void Scheduler::RecordDecision(bool background, TapeId chosen,
   record.tapes_rescored = tapes_rescored;
   const Position head = jukebox_->head();
   for (const TapeCandidate& c : candidates) {
-    if (c.num_requests <= 0) continue;
+    if (c.requests.empty()) continue;
     obs::TapeCandidateScore score;
     score.tape = c.tape;
-    score.num_requests = c.num_requests;
+    score.num_requests = c.num_requests();
     score.bandwidth_mbps =
         cost_.EstimateVisit(c.tape, record.mounted, head, c.positions)
             .BandwidthMBps();
@@ -228,7 +211,7 @@ std::vector<Request> Scheduler::EvictUnservablePending() {
   // have just lost its last replica).
   AbsorbStagedToPending();
   std::vector<Request> evicted;
-  std::deque<Request> keep;
+  std::vector<Request> keep;
   for (const Request& request : pending_) {
     if (catalog_->HasLiveReplica(request.block)) {
       keep.push_back(request);
@@ -254,7 +237,7 @@ std::vector<Request> Scheduler::EvictExpired(double now) {
   // the scan sees every queued request.
   AbsorbStagedToPending();
   std::vector<Request> expired;
-  std::deque<Request> keep;
+  std::vector<Request> keep;
   for (const Request& request : pending_) {
     if (request.deadline > 0 && request.deadline <= now) {
       expired.push_back(request);
@@ -277,10 +260,12 @@ TapeId Scheduler::BackgroundReschedule() {
   // background queue; max-requests batches the most source reads per
   // mount, which is what repair throughput wants.
   candidate_builder_.Begin(*jukebox_);
-  for (const Request& request : background_) {
-    for (const Replica& replica : catalog_->ReplicasOf(request.block)) {
+  for (size_t i = 0; i < background_.size(); ++i) {
+    for (const Replica& replica :
+         catalog_->ReplicasOf(background_[i].block)) {
       if (!catalog_->IsAlive(replica)) continue;
-      candidate_builder_.Add(replica, /*serves_oldest=*/false);
+      candidate_builder_.Add(replica, /*serves_oldest=*/false,
+                             static_cast<uint32_t>(i));
     }
   }
   const std::vector<TapeCandidate>& candidates = candidate_builder_.Finish();
@@ -293,10 +278,14 @@ TapeId Scheduler::BackgroundReschedule() {
   RecordDecision(/*background=*/true, tape, candidates);
   const Position start_head =
       (tape == jukebox_->mounted_tape()) ? jukebox_->head() : 0;
+  const std::vector<uint32_t>& chosen =
+      candidates[static_cast<size_t>(tape)].requests;
+  TJ_DCHECK(chosen == PendingOnTape(*catalog_, tape,
+                                    jukebox_->config().block_size_mb,
+                                    /*envelope_limit=*/nullptr, background_));
   ExtractSweepForTape(*catalog_, tape, start_head,
-                      jukebox_->config().block_size_mb,
-                      /*envelope_limit=*/nullptr, &background_, &sweep_,
-                      &sweep_scratch_);
+                      jukebox_->config().block_size_mb, chosen, &background_,
+                      &sweep_, &sweep_scratch_);
   TJ_CHECK(!sweep_.empty());
   return tape;
 }
@@ -305,7 +294,7 @@ void Scheduler::PiggybackBackground(TapeId tape) {
   if (background_.empty()) return;
   const Position start_head =
       (tape == jukebox_->mounted_tape()) ? jukebox_->head() : 0;
-  std::deque<Request> keep;
+  std::vector<Request> keep;
   for (const Request& request : background_) {
     const Replica* replica = catalog_->LiveReplicaOn(request.block, tape);
     if (replica == nullptr ||
@@ -317,12 +306,11 @@ void Scheduler::PiggybackBackground(TapeId tape) {
   background_ = std::move(keep);
 }
 
-void Scheduler::ExtractAndBuildSweep(TapeId tape,
-                                     const Position* envelope_limit) {
+void Scheduler::ExtractAndBuildSweep(const TapeCandidate& chosen) {
   const Position start_head =
-      (tape == jukebox_->mounted_tape()) ? jukebox_->head() : 0;
-  ExtractSweepForTape(*catalog_, tape, start_head,
-                      jukebox_->config().block_size_mb, envelope_limit,
+      (chosen.tape == jukebox_->mounted_tape()) ? jukebox_->head() : 0;
+  ExtractSweepForTape(*catalog_, chosen.tape, start_head,
+                      jukebox_->config().block_size_mb, chosen.requests,
                       &pending_, &sweep_, &sweep_scratch_);
 }
 

@@ -12,7 +12,6 @@
 #define TAPEJUKE_SCHED_SCHEDULER_H_
 
 #include <cstdint>
-#include <deque>
 #include <map>
 #include <optional>
 #include <string>
@@ -26,6 +25,7 @@
 #include "sched/sweep_builder.h"
 #include "tape/jukebox.h"
 #include "tape/types.h"
+#include "util/check.h"
 
 namespace tapejuke {
 
@@ -61,13 +61,6 @@ struct SchedulerOptions {
   /// extension lists / cached tape scores on every extension round.
   /// TJ_CHECK-fails on any divergence. Expensive; test/debug builds only.
   bool validate_envelope = false;
-  /// Envelope fast path: keep per-tape candidate scores on an indexed
-  /// max-heap so each extension round reads the best tape from the top and
-  /// re-heapifies only the dirty tapes, instead of a linear scan over all
-  /// tapes. Exactly equivalent to the scan (the near-equal tie group at the
-  /// heap top is re-run through the scan's tie-break); validate_envelope
-  /// additionally checks the two selections against each other per round.
-  bool use_selection_heap = true;
   /// Batched rescheduling: when > 0, arrivals are staged and only applied
   /// to the scheduler once `arrival_batch` of them have accumulated (or a
   /// major reschedule / fault event flushes the batch early). 0 preserves
@@ -89,33 +82,48 @@ struct SchedulerOptions {
 /// Candidate work available on one tape, used for tape selection.
 struct TapeCandidate {
   TapeId tape = kInvalidTape;
-  int64_t num_requests = 0;          ///< pending requests satisfiable here
   /// Block positions, strictly ascending (as CandidateBuilder emits them
   /// and ScheduleCost::EstimateVisit requires).
   std::vector<Position> positions;
   bool serves_oldest = false;        ///< can satisfy the oldest request
+  /// Indices (ascending) into the queue the candidates were counted from,
+  /// one per request counted here; ExtractSweepForTape takes this list.
+  std::vector<uint32_t> requests;
+
+  /// Pending requests satisfiable here.
+  int64_t num_requests() const {
+    return static_cast<int64_t>(requests.size());
+  }
 };
 
 /// Builds one TapeCandidate per tape from (request, replica) pairs without
 /// sorting: each tape's distinct positions come out ascending from a
-/// per-tape slot bitmap (a replica's position is slot * block size). The
-/// builder keeps its buffers, so a warm rebuild does not allocate. Each
-/// scheduler or simulator owns its own.
+/// per-tape slot bitmap (a replica's position is slot * block size), and
+/// each tape records the queue indices it counted, so the chosen tape's
+/// requests are extracted without walking the queue again. The builder
+/// keeps its buffers, so a warm rebuild does not allocate. Each scheduler
+/// or simulator owns its own.
 class CandidateBuilder {
  public:
   /// Starts an empty candidate set for `jukebox`.
   void Begin(const Jukebox& jukebox);
 
-  /// Counts one request servable by `replica` on its tape.
-  void Add(const Replica& replica, bool serves_oldest);
+  /// Counts the request at queue index `index` as servable by `replica` on
+  /// its tape. Indices must arrive in ascending order.
+  void Add(const Replica& replica, bool serves_oldest, uint32_t index) {
+    TJ_DCHECK(replica.position == replica.slot * block_size_mb_);
+    TapeCandidate& c = candidates_[static_cast<size_t>(replica.tape)];
+    if (serves_oldest) c.serves_oldest = true;
+    c.requests.push_back(index);
+    slots_.Insert(static_cast<size_t>(replica.tape), replica.slot);
+  }
 
   /// Completes the set begun by Begin (positions ascending, distinct).
   const std::vector<TapeCandidate>& Finish();
 
  private:
   std::vector<TapeCandidate> candidates_;
-  std::vector<uint64_t> slots_;  ///< per tape, one bit per slot
-  size_t words_per_tape_ = 0;
+  SlotBitmap slots_;  ///< per tape, the slots counted
   int64_t block_size_mb_ = 0;
 };
 
@@ -210,8 +218,8 @@ class Scheduler {
   /// The active sweep (virtual so decorators expose the wrapped one; the
   /// simulator reads it to trace scheduled-into-sweep transitions).
   virtual const Sweep& sweep() const { return sweep_; }
-  const std::deque<Request>& pending() const { return pending_; }
-  const std::deque<Request>& background() const { return background_; }
+  const std::vector<Request>& pending() const { return pending_; }
+  const std::vector<Request>& background() const { return background_; }
 
   /// Observability: attaches a sink that receives one DecisionRecord per
   /// major reschedule (candidates, scores, the chosen tape). Null (the
@@ -257,20 +265,18 @@ class Scheduler {
                       int64_t envelope_rounds = 0,
                       int64_t tapes_rescored = 0) const;
 
-  /// Removes every pending request with a replica on `tape` and builds the
-  /// sweep for them (grouped by block, forward phase from the start head,
-  /// below-head blocks in the reverse phase). The start head is the current
-  /// drive head if `tape` is mounted, else 0. `within_envelope`, if
-  /// non-null, restricts to replicas whose block end is <= the envelope
-  /// value for `tape`.
-  void ExtractAndBuildSweep(TapeId tape, const Position* envelope_limit);
+  /// Removes the pending requests `chosen` counted and builds the sweep
+  /// for them (grouped by block, forward phase from the start head,
+  /// below-head blocks in the reverse phase). The start head is the
+  /// current drive head if the tape is mounted, else 0.
+  void ExtractAndBuildSweep(const TapeCandidate& chosen);
 
   const Jukebox* jukebox_;
   const Catalog* catalog_;
   SchedulerOptions options_;
   ScheduleCost cost_;
-  std::deque<Request> pending_;
-  std::deque<Request> background_;
+  std::vector<Request> pending_;
+  std::vector<Request> background_;
   Sweep sweep_;
   obs::DecisionSink* decision_sink_ = nullptr;
   CandidateBuilder candidate_builder_;

@@ -6,65 +6,88 @@
 
 namespace tapejuke {
 
+void SlotBitmap::Reset(size_t groups, int64_t slots) {
+  TJ_CHECK_GE(slots, 0);
+  groups_ = groups;
+  slots_ = slots;
+  words_ = static_cast<size_t>(slots + 63) / 64;
+  bits_.assign(groups * words_, 0);
+}
+
 void SlotCountingSort::Reset(size_t groups, int64_t slots,
                              int64_t block_size_mb) {
-  TJ_CHECK_GE(slots, 0);
-  for (size_t g = 0; g < lo_.size(); ++g) {
-    for (int64_t slot = lo_[g]; slot < hi_[g]; ++slot) {
-      bucket_[Index(g, slot)] = 0;
-    }
+  for (size_t g = 0; g < groups_; ++g) {
+    used_.ForEach(g, [&](int64_t slot) { bucket_[Index(g, slot)] = 0; });
   }
+  used_.Reset(groups, slots);
+  groups_ = groups;
   slots_ = slots;
   block_size_mb_ = block_size_mb;
   const size_t size = groups * static_cast<size_t>(slots);
   if (bucket_.size() < size) bucket_.resize(size, 0);
-  lo_.assign(groups, slots);
-  hi_.assign(groups, 0);
 }
 
 uint32_t SlotCountingSort::Offsets(size_t group) {
   uint32_t running = 0;
-  for (int64_t slot = lo_[group]; slot < hi_[group]; ++slot) {
+  used_.ForEach(group, [&](int64_t slot) {
     uint32_t& b = bucket_[Index(group, slot)];
     const uint32_t count = b;
     b = running;
     running += count;
-  }
+  });
   return running;
+}
+
+std::vector<uint32_t> PendingOnTape(const Catalog& catalog, TapeId tape,
+                                    int64_t block_size_mb,
+                                    const Position* envelope_limit,
+                                    const std::vector<Request>& pending) {
+  std::vector<uint32_t> out;
+  for (size_t i = 0; i < pending.size(); ++i) {
+    const Replica* replica = catalog.LiveReplicaOn(pending[i].block, tape);
+    if (replica != nullptr &&
+        (envelope_limit == nullptr ||
+         replica->position + block_size_mb <= *envelope_limit)) {
+      out.push_back(static_cast<uint32_t>(i));
+    }
+  }
+  return out;
 }
 
 void ExtractSweepForTape(const Catalog& catalog, TapeId tape,
                          Position start_head, int64_t block_size_mb,
-                         const Position* envelope_limit,
-                         std::deque<Request>* pending, Sweep* sweep,
+                         const std::vector<uint32_t>& indices,
+                         std::vector<Request>* pending, Sweep* sweep,
                          SweepScratch* scratch) {
   TJ_CHECK(pending != nullptr);
   TJ_CHECK(sweep != nullptr);
   TJ_CHECK(scratch != nullptr);
   TJ_CHECK(sweep->empty()) << "sweep must be drained before rebuilding";
+  if (indices.empty()) return;
 
-  // Move the extracted requests out (in pending order) and compact the
-  // kept ones toward the front, preserving their order.
+  // Copy the extracted requests out (in pending order), then compact the
+  // kept ones toward the front, preserving their order: each run between
+  // two extracted requests moves down over the gaps so far. Only the part
+  // of `pending` from the first extracted request on moves.
   auto& extracted = scratch->extracted;
   extracted.clear();
   int64_t slots = 0;  // one past the highest extracted slot
-  auto out = pending->begin();
-  for (auto it = pending->begin(); it != pending->end(); ++it) {
-    const Replica* replica = catalog.LiveReplicaOn(it->block, tape);
-    const bool within =
-        replica != nullptr &&
-        (envelope_limit == nullptr ||
-         replica->position + block_size_mb <= *envelope_limit);
-    if (!within) {
-      if (out != it) *out = std::move(*it);
-      ++out;
-      continue;
-    }
+  for (const uint32_t i : indices) {
+    const Request& request = (*pending)[i];
+    const Replica* replica = catalog.LiveReplicaOn(request.block, tape);
+    TJ_DCHECK(replica != nullptr);
     slots = std::max(slots, replica->slot + 1);
-    extracted.push_back(SweepScratch::Tagged{replica, *it});
+    extracted.push_back(SweepScratch::Tagged{replica, request});
+  }
+  auto out = pending->begin() + indices.front();
+  for (size_t k = 0; k < indices.size(); ++k) {
+    const auto run = pending->begin() + indices[k] + 1;
+    const auto run_end = k + 1 < indices.size()
+                             ? pending->begin() + indices[k + 1]
+                             : pending->end();
+    out = std::move(run, run_end, out);
   }
   pending->erase(out, pending->end());
-  if (extracted.empty()) return;
 
   // Group by position, stably: each entry's requests stay in pending order.
   auto& sort = scratch->sort;

@@ -254,14 +254,16 @@ void MultiDriveSimulator::Dispatch(int d, double now) {
   candidate_builder_.Begin(*jukebox_);
   bool saw_claimed_work = false;
   const RequestId oldest = pending_.front().id;
-  for (const Request& request : pending_) {
+  for (size_t i = 0; i < pending_.size(); ++i) {
+    const Request& request = pending_[i];
     for (const Replica& replica : catalog_->ReplicasOf(request.block)) {
       if (!catalog_->IsAlive(replica)) continue;
       if (ClaimedElsewhere(replica.tape, d)) {
         saw_claimed_work = true;
         continue;
       }
-      candidate_builder_.Add(replica, request.id == oldest);
+      candidate_builder_.Add(replica, request.id == oldest,
+                             static_cast<uint32_t>(i));
     }
   }
   const std::vector<TapeCandidate>& candidates = candidate_builder_.Finish();
@@ -280,10 +282,14 @@ void MultiDriveSimulator::Dispatch(int d, double now) {
   }
 
   const Position start_head = (tape == mounted) ? ds.unit.head() : 0;
+  const std::vector<uint32_t>& chosen =
+      candidates[static_cast<size_t>(tape)].requests;
+  TJ_DCHECK(chosen == PendingOnTape(*catalog_, tape,
+                                    jukebox_->config().block_size_mb,
+                                    /*envelope_limit=*/nullptr, pending_));
   ExtractSweepForTape(*catalog_, tape, start_head,
-                      jukebox_->config().block_size_mb,
-                      /*envelope_limit=*/nullptr, &pending_, &ds.sweep,
-                      &sweep_scratch_);
+                      jukebox_->config().block_size_mb, chosen, &pending_,
+                      &ds.sweep, &sweep_scratch_);
   TJ_CHECK(!ds.sweep.empty());
   ds.claim = tape;
   TraceSweepContents(d, tape, now);
@@ -421,7 +427,7 @@ void MultiDriveSimulator::Requeue(const std::vector<Request>& requests,
 
 void MultiDriveSimulator::EvictUnservablePending(double now) {
   std::vector<Request> dead;
-  std::deque<Request> keep;
+  std::vector<Request> keep;
   for (const Request& request : pending_) {
     if (catalog_->HasLiveReplica(request.block)) {
       keep.push_back(request);
@@ -458,7 +464,7 @@ void MultiDriveSimulator::ExpireRequest(const Request& request, double now) {
 
 void MultiDriveSimulator::ExpirePendingPastDeadline(double now) {
   std::vector<Request> expired;
-  std::deque<Request> keep;
+  std::vector<Request> keep;
   for (const Request& request : pending_) {
     if (request.deadline > 0 && request.deadline <= now) {
       expired.push_back(request);
@@ -551,10 +557,10 @@ void MultiDriveSimulator::RecordDispatchDecision(
   record.pending = static_cast<int64_t>(pending_.size());
   const Position head = drives_[static_cast<size_t>(d)].unit.head();
   for (const TapeCandidate& c : candidates) {
-    if (c.num_requests <= 0) continue;
+    if (c.requests.empty()) continue;
     obs::TapeCandidateScore score;
     score.tape = c.tape;
-    score.num_requests = c.num_requests;
+    score.num_requests = c.num_requests();
     score.bandwidth_mbps =
         cost_.EstimateVisit(c.tape, mounted, head, c.positions)
             .BandwidthMBps();

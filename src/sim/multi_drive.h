@@ -18,7 +18,6 @@
 #ifndef TAPEJUKE_SIM_MULTI_DRIVE_H_
 #define TAPEJUKE_SIM_MULTI_DRIVE_H_
 
-#include <deque>
 #include <optional>
 #include <utility>
 #include <vector>
@@ -217,7 +216,7 @@ class MultiDriveSimulator {
   SweepScratch sweep_scratch_;
 
   std::vector<DriveState> drives_;
-  std::deque<Request> pending_;
+  std::vector<Request> pending_;
   EventQueue<int> events_;  ///< payload: drive index
   double robot_free_at_ = 0;
   double clock_ = 0;

@@ -56,72 +56,4 @@ TimingModel::TimingModel(const TimingParams& params) : params_(params) {
   TJ_CHECK(status.ok()) << status.ToString();
 }
 
-double TimingModel::ForwardLocateTime(int64_t distance_mb) const {
-  TJ_DCHECK(distance_mb >= 0);
-  if (distance_mb == 0) return 0.0;
-  const auto k = static_cast<double>(distance_mb);
-  if (k <= params_.short_threshold_mb) {
-    return params_.fwd_short_startup + params_.fwd_short_per_mb * k;
-  }
-  return params_.fwd_long_startup + params_.fwd_long_per_mb * k;
-}
-
-double TimingModel::ReverseLocateTime(int64_t distance_mb) const {
-  TJ_DCHECK(distance_mb >= 0);
-  if (distance_mb == 0) return 0.0;
-  const auto k = static_cast<double>(distance_mb);
-  if (k <= params_.short_threshold_mb) {
-    return params_.rev_short_startup + params_.rev_short_per_mb * k;
-  }
-  return params_.rev_long_startup + params_.rev_long_per_mb * k;
-}
-
-double TimingModel::LocateTime(Position from, Position to) const {
-  TJ_DCHECK(from >= 0);
-  TJ_DCHECK(to >= 0);
-  if (from == to) return 0.0;
-  double time = (to > from) ? ForwardLocateTime(to - from)
-                            : ReverseLocateTime(from - to);
-  if (to == 0) time += params_.bot_extra_seconds;
-  return time;
-}
-
-double TimingModel::ReadTime(int64_t mb, LocateKind preceding) const {
-  TJ_DCHECK(mb >= 0);
-  if (mb == 0) return 0.0;
-  double startup = 0.0;
-  switch (preceding) {
-    case LocateKind::kNone:
-      startup = 0.0;  // streaming continuation, no repositioning startup
-      break;
-    case LocateKind::kForward:
-      startup = params_.read_fwd_startup;
-      break;
-    case LocateKind::kReverse:
-      startup = params_.read_rev_startup;
-      break;
-  }
-  return startup + params_.read_per_mb * static_cast<double>(mb);
-}
-
-double TimingModel::LocateAndReadTime(Position from, Position to,
-                                      int64_t mb) const {
-  LocateKind kind = LocateKind::kNone;
-  if (to > from) kind = LocateKind::kForward;
-  if (to < from) kind = LocateKind::kReverse;
-  return LocateTime(from, to) + ReadTime(mb, kind);
-}
-
-double TimingModel::RewindTime(Position from) const {
-  return LocateTime(from, 0);
-}
-
-double TimingModel::SwitchTime() const {
-  return params_.eject_seconds + params_.robot_seconds + params_.load_seconds;
-}
-
-double TimingModel::FullSwitchTime(Position head) const {
-  return RewindTime(head) + SwitchTime();
-}
-
 }  // namespace tapejuke

@@ -16,6 +16,7 @@
 #include <cstdint>
 
 #include "tape/types.h"
+#include "util/check.h"
 #include "util/status.h"
 
 namespace tapejuke {
@@ -83,32 +84,85 @@ class TimingModel {
 
   const TimingParams& params() const { return params_; }
 
+  // The locate/read family is defined inline: the schedulers call it in
+  // their innermost loops.
+
   /// Time to locate forward past `distance_mb` MB (>= 0). Zero distance is
   /// free (no head motion is needed).
-  double ForwardLocateTime(int64_t distance_mb) const;
+  double ForwardLocateTime(int64_t distance_mb) const {
+    TJ_DCHECK(distance_mb >= 0);
+    if (distance_mb == 0) return 0.0;
+    const auto k = static_cast<double>(distance_mb);
+    if (k <= params_.short_threshold_mb) {
+      return params_.fwd_short_startup + params_.fwd_short_per_mb * k;
+    }
+    return params_.fwd_long_startup + params_.fwd_long_per_mb * k;
+  }
 
   /// Time to locate backward past `distance_mb` MB (>= 0). Zero is free.
-  double ReverseLocateTime(int64_t distance_mb) const;
+  double ReverseLocateTime(int64_t distance_mb) const {
+    TJ_DCHECK(distance_mb >= 0);
+    if (distance_mb == 0) return 0.0;
+    const auto k = static_cast<double>(distance_mb);
+    if (k <= params_.short_threshold_mb) {
+      return params_.rev_short_startup + params_.rev_short_per_mb * k;
+    }
+    return params_.rev_long_startup + params_.rev_long_per_mb * k;
+  }
 
   /// Time to move the head from `from` to `to`. Includes the
   /// beginning-of-tape surcharge when `to` == 0 and motion occurs.
-  double LocateTime(Position from, Position to) const;
+  double LocateTime(Position from, Position to) const {
+    TJ_DCHECK(from >= 0);
+    TJ_DCHECK(to >= 0);
+    if (from == to) return 0.0;
+    double time = (to > from) ? ForwardLocateTime(to - from)
+                              : ReverseLocateTime(from - to);
+    if (to == 0) time += params_.bot_extra_seconds;
+    return time;
+  }
 
   /// Time to read `mb` MB given the kind of locate that preceded the read.
-  double ReadTime(int64_t mb, LocateKind preceding) const;
+  double ReadTime(int64_t mb, LocateKind preceding) const {
+    TJ_DCHECK(mb >= 0);
+    if (mb == 0) return 0.0;
+    double startup = 0.0;
+    switch (preceding) {
+      case LocateKind::kNone:
+        startup = 0.0;  // streaming continuation, no repositioning startup
+        break;
+      case LocateKind::kForward:
+        startup = params_.read_fwd_startup;
+        break;
+      case LocateKind::kReverse:
+        startup = params_.read_rev_startup;
+        break;
+    }
+    return startup + params_.read_per_mb * static_cast<double>(mb);
+  }
 
   /// Time for locate(from -> to) followed by reading `mb` MB at `to`.
-  double LocateAndReadTime(Position from, Position to, int64_t mb) const;
+  double LocateAndReadTime(Position from, Position to, int64_t mb) const {
+    LocateKind kind = LocateKind::kNone;
+    if (to > from) kind = LocateKind::kForward;
+    if (to < from) kind = LocateKind::kReverse;
+    return LocateTime(from, to) + ReadTime(mb, kind);
+  }
 
   /// Full rewind from `from` to the physical beginning of tape.
-  double RewindTime(Position from) const;
+  double RewindTime(Position from) const { return LocateTime(from, 0); }
 
   /// Robot-side tape switch: eject + arm swap + load (excludes rewind).
-  double SwitchTime() const;
+  double SwitchTime() const {
+    return params_.eject_seconds + params_.robot_seconds +
+           params_.load_seconds;
+  }
 
   /// Rewind from `head` plus a tape switch: the full cost of moving the
   /// drive from one mounted tape to another.
-  double FullSwitchTime(Position head) const;
+  double FullSwitchTime(Position head) const {
+    return RewindTime(head) + SwitchTime();
+  }
 
   /// Streaming transfer rate, MB/s (the asymptotic read rate).
   double StreamingRateMBps() const { return 1.0 / params_.read_per_mb; }

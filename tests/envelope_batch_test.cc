@@ -324,10 +324,11 @@ TEST(EnvelopeEpochFault, AllPhantomTapeFallsBackToFullReschedule) {
 }
 
 // Scheduler-driven equivalence fuzz: every fast path armed at once
-// (selection heap, slot-ordered list and candidate builds, arrival
-// batching, epoch rescheduling) under the ValidatingScheduler with the
-// envelope oracle on. Arrival ids are shuffled within small windows to
-// mimic failover re-deliveries, so pending is not always in id order.
+// (sole-replica step 2, slot-ordered list and candidate builds, recorded
+// extraction lists, arrival batching, epoch rescheduling) under the
+// ValidatingScheduler with the envelope oracle on. Arrival ids are
+// shuffled within small windows to mimic failover re-deliveries, so
+// pending is not always in id order.
 class EnvelopeBatchFuzz : public ::testing::TestWithParam<uint64_t> {};
 
 TEST_P(EnvelopeBatchFuzz, BatchedFastPathsMatchOracle) {

@@ -355,5 +355,46 @@ TEST_P(EnvelopeKernelFuzz, IncrementalMatchesReferenceKernel) {
 INSTANTIATE_TEST_SUITE_P(RandomInstances, EnvelopeKernelFuzz,
                          ::testing::Range<uint64_t>(1, 31));
 
+// Step 2 assigns a request whose block has a sole live replica straight to
+// it. Here block X's other copy is masked dead and lies inside tape 0's
+// envelope (pinned further out by Y): the request must go to the live copy
+// on tape 1, exactly as the reference kernel's TryAbsorb walk decides, and
+// the dead copy must not count as a second choice.
+TEST(EnvelopeStepTwo, SoleLiveReplicaWinsOverDeadCopyInsideEnvelope) {
+  constexpr BlockId kX = 0, kY = 1, kZ = 2;
+  TinyRig rig(2);
+  rig.Place(kX, 0, 2);  // masked dead below
+  rig.Place(kX, 1, 3);
+  rig.Place(kY, 0, 6);  // pins tape 0's envelope past X's dead copy
+  rig.Place(kZ, 1, 5);  // pins tape 1's envelope past X's live copy
+  Catalog catalog = rig.BuildCatalog();
+  ASSERT_TRUE(catalog.MarkReplicaDead(kX, 0));
+
+  SchedulerOptions options;
+  options.validate_envelope = true;
+  EnvelopeScheduler sched(&rig.jukebox(), &catalog, TapePolicy::kMaxBandwidth,
+                          options);
+  const std::vector<Request> requests = {Req(1, kX), Req(2, kY), Req(3, kZ),
+                                         Req(4, kX)};
+  const auto result = sched.ComputeUpperEnvelope(requests);
+  const auto reference = sched.ComputeUpperEnvelopeReference(requests);
+
+  EXPECT_TRUE(result.initially_unscheduled.empty());
+  for (const RequestId id : {1, 4}) {
+    ASSERT_TRUE(result.assignment.contains(id));
+    EXPECT_EQ(result.assignment.at(id), *catalog.ReplicaOn(kX, 1));
+  }
+  EXPECT_EQ(result.envelope, reference.envelope);
+  EXPECT_EQ(result.initial_envelope, reference.initial_envelope);
+  EXPECT_EQ(result.scheduled_per_tape, reference.scheduled_per_tape);
+  ASSERT_EQ(result.assignment.size(), reference.assignment.size());
+  for (const auto& [id, replica] : result.assignment) {
+    EXPECT_EQ(replica, reference.assignment.at(id));
+  }
+  EXPECT_EQ(sched.counters().multi_replica_choices, 0);
+  EXPECT_EQ(sched.counters().extension_rounds, 0);
+  sched.CrossCheckEnvelope(requests);  // TJ_CHECK-fails on divergence
+}
+
 }  // namespace
 }  // namespace tapejuke

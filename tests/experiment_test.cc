@@ -10,6 +10,41 @@
 namespace tapejuke {
 namespace {
 
+// One mapping from an algorithm to the multi-drive engine's configuration,
+// shared by the farm and run_experiment --drives: the family decides
+// dynamic insertion, the policy and options carry over, and the families
+// the engine cannot run are rejected rather than silently replaced.
+TEST(MultiDriveConfigFor, MapsGreedyFamiliesAndRejectsTheRest) {
+  AlgorithmSpec fixed = AlgorithmSpec::Parse("static-max-requests").value();
+  fixed.options.allow_reverse_phase = false;
+  fixed.options.arrival_batch = 7;
+  const StatusOr<MultiDriveConfig> static_config =
+      MultiDriveConfigFor(fixed, 3);
+  ASSERT_TRUE(static_config.ok());
+  EXPECT_EQ(static_config->num_drives, 3);
+  EXPECT_EQ(static_config->policy, TapePolicy::kMaxRequests);
+  EXPECT_FALSE(static_config->dynamic_insertion);
+  EXPECT_FALSE(static_config->options.allow_reverse_phase);
+  EXPECT_EQ(static_config->options.arrival_batch, 7);
+
+  const StatusOr<MultiDriveConfig> dynamic_config = MultiDriveConfigFor(
+      AlgorithmSpec::Parse("dynamic-oldest-max-bandwidth").value(), 2);
+  ASSERT_TRUE(dynamic_config.ok());
+  EXPECT_EQ(dynamic_config->num_drives, 2);
+  EXPECT_EQ(dynamic_config->policy, TapePolicy::kOldestMaxBandwidth);
+  EXPECT_TRUE(dynamic_config->dynamic_insertion);
+  EXPECT_TRUE(dynamic_config->options.allow_reverse_phase);
+
+  for (const char* name : {"fifo", "envelope-max-bandwidth"}) {
+    const StatusOr<MultiDriveConfig> rejected =
+        MultiDriveConfigFor(AlgorithmSpec::Parse(name).value(), 2);
+    ASSERT_FALSE(rejected.ok()) << name;
+    EXPECT_EQ(rejected.status().code(), StatusCode::kInvalidArgument);
+    EXPECT_NE(rejected.status().message().find("static and dynamic greedy"),
+              std::string::npos);
+  }
+}
+
 TEST(AlgorithmSpec, ParseRoundTrips) {
   const struct {
     const char* input;

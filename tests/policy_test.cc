@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <numeric>
+#include <vector>
+
 #include "sched/scheduler.h"
 #include "test_util.h"
 
@@ -13,7 +16,10 @@ class PolicyTest : public ::testing::Test {
   TapeCandidate Cand(TapeId tape, int64_t requests,
                      std::vector<Position> positions,
                      bool serves_oldest = false) {
-    return TapeCandidate{tape, requests, std::move(positions), serves_oldest};
+    std::vector<uint32_t> indices(static_cast<size_t>(requests));
+    std::iota(indices.begin(), indices.end(), 0u);
+    return TapeCandidate{tape, std::move(positions), serves_oldest,
+                         std::move(indices)};
   }
 
   TimingModel model_{TimingParams::Exabyte8505XL()};
@@ -120,8 +126,8 @@ TEST_F(PolicyTest, PolicyNames) {
 }
 
 // The candidate builder counts every (request, replica) pair but emits
-// each tape's distinct positions in ascending order, and a new Begin
-// forgets the previous set.
+// each tape's distinct positions in ascending order, records the queue
+// indices it counted per tape, and a new Begin forgets the previous set.
 TEST(CandidateBuilderTest, EmitsAscendingDistinctPositions) {
   TinyRig rig(3, /*capacity_mb=*/16 * 130);  // 130 slots: three bitmap words
   rig.Place(0, 0, 129);
@@ -133,31 +139,37 @@ TEST(CandidateBuilderTest, EmitsAscendingDistinctPositions) {
 
   CandidateBuilder builder;
   builder.Begin(rig.jukebox());
-  for (const BlockId block : {0, 2, 1, 0, 2}) {
-    for (const Replica& replica : catalog.ReplicasOf(block)) {
-      builder.Add(replica, /*serves_oldest=*/block == 1);
+  const std::vector<BlockId> queue = {0, 2, 1, 0, 2};
+  for (size_t i = 0; i < queue.size(); ++i) {
+    for (const Replica& replica : catalog.ReplicasOf(queue[i])) {
+      builder.Add(replica, /*serves_oldest=*/queue[i] == 1,
+                  static_cast<uint32_t>(i));
     }
   }
   const std::vector<TapeCandidate>& candidates = builder.Finish();
   ASSERT_EQ(candidates.size(), 3u);
   EXPECT_EQ(candidates[0].tape, 0);
-  EXPECT_EQ(candidates[0].num_requests, 5);
+  EXPECT_EQ(candidates[0].num_requests(), 5);
   EXPECT_EQ(candidates[0].positions,
             (std::vector<Position>{3 * mb, 64 * mb, 129 * mb}));
   EXPECT_TRUE(candidates[0].serves_oldest);
-  EXPECT_EQ(candidates[1].num_requests, 0);
+  EXPECT_EQ(candidates[0].requests, (std::vector<uint32_t>{0, 1, 2, 3, 4}));
+  EXPECT_EQ(candidates[1].num_requests(), 0);
   EXPECT_TRUE(candidates[1].positions.empty());
-  EXPECT_EQ(candidates[2].num_requests, 2);
+  EXPECT_EQ(candidates[2].num_requests(), 2);
   EXPECT_EQ(candidates[2].positions, (std::vector<Position>{0}));
   EXPECT_FALSE(candidates[2].serves_oldest);
+  EXPECT_EQ(candidates[2].requests, (std::vector<uint32_t>{1, 4}));
 
   builder.Begin(rig.jukebox());
-  builder.Add(*catalog.ReplicaOn(1, 0), /*serves_oldest=*/false);
+  builder.Add(*catalog.ReplicaOn(1, 0), /*serves_oldest=*/false, 7);
   const std::vector<TapeCandidate>& again = builder.Finish();
-  EXPECT_EQ(again[0].num_requests, 1);
+  EXPECT_EQ(again[0].num_requests(), 1);
   EXPECT_EQ(again[0].positions, (std::vector<Position>{64 * mb}));
   EXPECT_FALSE(again[0].serves_oldest);
-  EXPECT_EQ(again[2].num_requests, 0);
+  EXPECT_EQ(again[0].requests, (std::vector<uint32_t>{7}));
+  EXPECT_EQ(again[2].num_requests(), 0);
+  EXPECT_TRUE(again[2].requests.empty());
   EXPECT_TRUE(again[2].positions.empty());
 }
 
