@@ -25,8 +25,14 @@ int Main(int argc, char** argv) {
                      &exit_code)) {
     return exit_code;
   }
-  BenchContext ctx("ext_multi_drive", options);
   ExperimentConfig base = PaperBaseConfig(options);
+  // Shared flags this engine cannot honour (--repair) are a usage error.
+  const Status valid = MultiDriveConfig{}.Validate(base.sim);
+  if (!valid.ok()) {
+    std::cerr << valid << "\n";
+    return 2;
+  }
+  BenchContext ctx("ext_multi_drive", options);
   std::cout << "Multi-drive extension | " << ParamCaption(base)
             << " | dynamic max-bandwidth, shared robot arm\n";
 
@@ -42,7 +48,8 @@ int Main(int argc, char** argv) {
     StatusOr<Catalog> catalog_or =
         LayoutBuilder::Build(&jukebox, base.layout);
     if (!catalog_or.ok()) return catalog_or.status();
-    const Catalog catalog = std::move(catalog_or).value();
+    // Mutable: the shared --fault-* flags mask replicas dead.
+    Catalog catalog = std::move(catalog_or).value();
     MultiDriveConfig drive_config;
     drive_config.num_drives = drives;
     SimulationConfig sim_config = base.sim;

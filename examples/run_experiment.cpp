@@ -119,6 +119,10 @@ int main(int argc, char** argv) {
     std::cerr << parse_status << "\n";
     return 2;
   }
+  if (drives > 1 && !replay_trace.empty()) {
+    std::cerr << "--replay-trace is single-drive only; drop --drives\n";
+    return 2;
+  }
 
   ExperimentConfig config;
   config.jukebox.num_tapes = static_cast<int32_t>(tapes);
@@ -191,6 +195,11 @@ int main(int argc, char** argv) {
         MultiDriveConfigFor(config.algorithm, static_cast<int32_t>(drives));
     if (!drive_config.ok()) {
       std::cerr << drive_config.status() << "\n";
+      return 1;
+    }
+    const Status drive_status = drive_config->Validate(config.sim);
+    if (!drive_status.ok()) {
+      std::cerr << drive_status << "\n";
       return 1;
     }
     MultiDriveSimulator sim(&jukebox, &catalog.value(), *drive_config,

@@ -52,10 +52,8 @@ Status FarmConfig::Validate() const {
     const StatusOr<MultiDriveConfig> drives =
         MultiDriveConfigFor(per_jukebox.algorithm, drives_per_jukebox);
     if (!drives.ok()) return drives.status();
-    if (per_jukebox.sim.repair.enabled()) {
-      return Status::InvalidArgument(
-          "scrub/repair is single-drive only; use drives_per_jukebox = 1");
-    }
+    const Status drives_status = drives->Validate(per_jukebox.sim);
+    if (!drives_status.ok()) return drives_status;
   }
   return per_jukebox.Validate();
 }

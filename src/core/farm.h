@@ -45,7 +45,7 @@ struct FarmConfig {
   /// Drives per box. 1 runs each box on the single-drive Simulator (every
   /// algorithm; faults and repair supported). > 1 runs each box on the
   /// MultiDriveSimulator (static/dynamic algorithms; faults supported,
-  /// repair not).
+  /// repair and think time rejected by MultiDriveConfig::Validate).
   int32_t drives_per_jukebox = 1;
   /// Worker threads sharding the boxes; <= 0 selects hardware concurrency.
   /// Purely an execution knob: results are bit-identical at any value.

@@ -87,6 +87,21 @@ TapeId SelectTape(TapePolicy policy, const std::vector<TapeCandidate>& tapes,
   return best == nullptr ? kInvalidTape : best->tape;
 }
 
+void ScoreCandidates(const std::vector<TapeCandidate>& candidates,
+                     TapeId mounted, Position head, const ScheduleCost& cost,
+                     obs::DecisionRecord* record) {
+  for (const TapeCandidate& c : candidates) {
+    if (c.requests.empty()) continue;
+    obs::TapeCandidateScore score;
+    score.tape = c.tape;
+    score.num_requests = c.num_requests();
+    score.bandwidth_mbps =
+        cost.EstimateVisit(c.tape, mounted, head, c.positions).BandwidthMBps();
+    score.serves_oldest = c.serves_oldest;
+    record->candidates.push_back(score);
+  }
+}
+
 void CandidateBuilder::Begin(const Jukebox& jukebox) {
   const size_t num_tapes = static_cast<size_t>(jukebox.num_tapes());
   block_size_mb_ = jukebox.config().block_size_mb;
@@ -179,18 +194,8 @@ void Scheduler::RecordDecision(bool background, TapeId chosen,
   record.background_queue = static_cast<int64_t>(background_.size());
   record.envelope_rounds = envelope_rounds;
   record.tapes_rescored = tapes_rescored;
-  const Position head = jukebox_->head();
-  for (const TapeCandidate& c : candidates) {
-    if (c.requests.empty()) continue;
-    obs::TapeCandidateScore score;
-    score.tape = c.tape;
-    score.num_requests = c.num_requests();
-    score.bandwidth_mbps =
-        cost_.EstimateVisit(c.tape, record.mounted, head, c.positions)
-            .BandwidthMBps();
-    score.serves_oldest = c.serves_oldest;
-    record.candidates.push_back(score);
-  }
+  ScoreCandidates(candidates, record.mounted, jukebox_->head(), cost_,
+                  &record);
   decision_sink_->RecordDecision(record);
 }
 

@@ -134,6 +134,14 @@ TapeId SelectTape(TapePolicy policy, const std::vector<TapeCandidate>& tapes,
                   TapeId mounted, Position head, int32_t num_tapes,
                   const ScheduleCost& cost);
 
+/// Appends to `record` one score per candidate tape with requests, in
+/// candidate order: its request count, whether it serves the oldest
+/// request, and the bandwidth of a visit from `mounted` at `head`. The one
+/// scorer behind every engine's decision records.
+void ScoreCandidates(const std::vector<TapeCandidate>& candidates,
+                     TapeId mounted, Position head, const ScheduleCost& cost,
+                     obs::DecisionRecord* record);
+
 /// Base class holding the pending list, the active sweep, and shared
 /// helpers. Subclasses implement tape selection + sweep construction and
 /// the incremental arrival rule.

@@ -164,6 +164,7 @@ class MetricsCollector {
   /// Snapshot of the jukebox counters at the warm-up boundary; call once
   /// when the clock first passes the warm-up time.
   void MarkWarmupBoundary(const JukeboxCounters& counters);
+  bool warmup_marked() const { return warmup_marked_; }
 
   /// Extends the outstanding-population integral to `now` without any
   /// arrival or completion (used to close a run's area at its final clock

@@ -1,18 +1,41 @@
 #include "sim/multi_drive.h"
 
 #include <algorithm>
-#include <iostream>
 #include <limits>
 #include <string>
 
-#include "sched/sweep_builder.h"
 #include "util/check.h"
 
 namespace tapejuke {
 
-Status MultiDriveConfig::Validate() const {
+namespace {
+
+// Removes from `pending` and returns, both in their original order, the
+// requests that match `pred`.
+template <typename Pred>
+std::vector<Request> TakeIf(std::vector<Request>* pending, Pred pred) {
+  std::vector<Request> taken;
+  std::vector<Request> keep;
+  for (const Request& request : *pending) {
+    (pred(request) ? taken : keep).push_back(request);
+  }
+  pending->swap(keep);
+  return taken;
+}
+
+}  // namespace
+
+Status MultiDriveConfig::Validate(const SimulationConfig& sim) const {
   if (num_drives < 1) {
     return Status::InvalidArgument("need at least one drive");
+  }
+  if (sim.repair.enabled()) {
+    return Status::InvalidArgument(
+        "scrub/repair is single-drive only; use one drive");
+  }
+  if (sim.workload.think_time_seconds > 0) {
+    return Status::InvalidArgument(
+        "closed-model think time is single-drive only; use one drive");
   }
   return Status::Ok();
 }
@@ -21,143 +44,52 @@ MultiDriveSimulator::MultiDriveSimulator(Jukebox* jukebox,
                                          const Catalog* catalog,
                                          const MultiDriveConfig& drives,
                                          const SimulationConfig& sim)
-    : jukebox_(jukebox),
-      catalog_(catalog),
-      drives_config_(drives),
-      sim_config_(sim),
-      workload_(catalog, sim.workload),
-      metrics_(sim.warmup_seconds, jukebox->config().block_size_mb),
-      cost_(&jukebox->model(), jukebox->config().block_size_mb),
-      accounting_(drives.num_drives, sim.warmup_seconds) {
-  TJ_CHECK(jukebox != nullptr);
-  TJ_CHECK(catalog != nullptr);
-  Status status = drives.Validate();
-  TJ_CHECK(status.ok()) << status.ToString();
-  TJ_CHECK_LE(drives.num_drives, jukebox->num_tapes())
-      << "more drives than tapes is pointless";
-  status = sim.Validate();
-  TJ_CHECK(status.ok()) << status.ToString();
-  TJ_CHECK(!sim.faults.enabled())
-      << "fault injection requires the mutable-catalog MultiDriveSimulator "
-         "constructor (permanent media errors mask catalog replicas)";
-  TJ_CHECK(!sim.repair.enabled())
-      << "scrub/repair is single-drive only (use Simulator)";
-  drives_.reserve(static_cast<size_t>(drives.num_drives));
-  for (int32_t d = 0; d < drives.num_drives; ++d) {
-    drives_.emplace_back(&jukebox->model());
-  }
-  if (sim_config_.obs.enabled()) {
-    recorder_.emplace(sim_config_.obs);
-    recorder_->SetTopology("jukebox", drives_config_.num_drives);
-    accounting_.set_recorder(&*recorder_);
-  }
-  if (sim_config_.workload.HasTenantClasses()) {
-    metrics_.ConfigureClasses(
-        static_cast<int>(sim_config_.workload.tenant_classes.size()));
-    for (const TenantClassConfig& cls : sim_config_.workload.tenant_classes) {
-      if (cls.deadline_seconds > 0) deadlines_possible_ = true;
-    }
-  }
-  if (sim_config_.admission.enabled()) {
-    admission_.emplace(sim_config_.admission,
-                       sim_config_.workload.tenant_classes);
-  }
-  SetupTimeline();
-}
+    : MultiDriveSimulator(jukebox, catalog, nullptr, drives, sim) {}
 
 MultiDriveSimulator::MultiDriveSimulator(Jukebox* jukebox, Catalog* catalog,
                                          const MultiDriveConfig& drives,
                                          const SimulationConfig& sim)
+    : MultiDriveSimulator(jukebox, catalog, catalog, drives, sim) {}
+
+MultiDriveSimulator::MultiDriveSimulator(Jukebox* jukebox,
+                                         const Catalog* catalog,
+                                         Catalog* mutable_catalog,
+                                         const MultiDriveConfig& drives,
+                                         const SimulationConfig& sim)
     : jukebox_(jukebox),
       catalog_(catalog),
-      mutable_catalog_(catalog),
       drives_config_(drives),
-      sim_config_(sim),
-      workload_(catalog, sim.workload),
-      metrics_(sim.warmup_seconds, jukebox->config().block_size_mb),
-      cost_(&jukebox->model(), jukebox->config().block_size_mb),
-      accounting_(drives.num_drives, sim.warmup_seconds) {
+      life_(catalog, mutable_catalog, sim, drives.num_drives,
+            jukebox->config().block_size_mb,
+            /*closed=*/sim.workload.model == QueuingModel::kClosed),
+      cost_(&jukebox->model(), jukebox->config().block_size_mb) {
   TJ_CHECK(jukebox != nullptr);
-  TJ_CHECK(catalog != nullptr);
-  Status status = drives.Validate();
+  const Status status = drives.Validate(sim);
   TJ_CHECK(status.ok()) << status.ToString();
   TJ_CHECK_LE(drives.num_drives, jukebox->num_tapes())
       << "more drives than tapes is pointless";
-  status = sim.Validate();
-  TJ_CHECK(status.ok()) << status.ToString();
-  TJ_CHECK(!sim.repair.enabled())
-      << "scrub/repair is single-drive only (use Simulator)";
   drives_.reserve(static_cast<size_t>(drives.num_drives));
   for (int32_t d = 0; d < drives.num_drives; ++d) {
     drives_.emplace_back(&jukebox->model());
   }
-  if (sim_config_.obs.enabled()) {
-    recorder_.emplace(sim_config_.obs);
-    recorder_->SetTopology("jukebox", drives_config_.num_drives);
-    accounting_.set_recorder(&*recorder_);
-  }
-  if (sim_config_.faults.enabled()) {
-    faults_.emplace(sim_config_.faults, sim_config_.workload.seed);
-    if (sim_config_.faults.drive_mtbf_seconds > 0) {
-      drive_faults_ = true;
-      // Epochs drawn in drive order so the fault stream is deterministic.
-      for (DriveState& ds : drives_) {
-        ds.next_failure = faults_->NextFailureGap();
-      }
+  if (FaultModel* faults = life_.faults();
+      faults != nullptr && sim.faults.drive_mtbf_seconds > 0) {
+    drive_faults_ = true;
+    // Epochs drawn in drive order so the fault stream is deterministic.
+    for (DriveState& ds : drives_) {
+      ds.next_failure = faults->NextFailureGap();
     }
   }
-  if (sim_config_.workload.HasTenantClasses()) {
-    metrics_.ConfigureClasses(
-        static_cast<int>(sim_config_.workload.tenant_classes.size()));
-    for (const TenantClassConfig& cls : sim_config_.workload.tenant_classes) {
-      if (cls.deadline_seconds > 0) deadlines_possible_ = true;
-    }
-  }
-  if (sim_config_.admission.enabled()) {
-    admission_.emplace(sim_config_.admission,
-                       sim_config_.workload.tenant_classes);
-  }
-  SetupTimeline();
-}
-
-void MultiDriveSimulator::SetupTimeline() {
-  if (!sim_config_.timeline.enabled()) return;
-  timeline_.emplace(sim_config_.timeline);
-  obs::StatRegistry* reg = timeline_->registry();
-  reg->AddGauge("queue_depth", [this] {
-    return static_cast<double>(pending_.size());
-  });
-  reg->AddGauge("sweep_depth", [this] {
-    size_t depth = 0;
-    for (const DriveState& ds : drives_) depth += ds.sweep.size();
-    return static_cast<double>(depth);
-  });
-  reg->AddGauge("shed_level", [this] {
-    return admission_.has_value() ? static_cast<double>(admission_->shed_level())
-                                  : 0.0;
-  });
-  reg->AddGauge("live_replica_fraction", [this] {
-    const int64_t total = catalog_->TotalCopies();
-    if (total <= 0) return 1.0;
-    return static_cast<double>(total - catalog_->dead_replicas()) /
-           static_cast<double>(total);
-  });
-  // Scrub/repair is single-drive only; the gauge stays so the schema is
-  // uniform across simulators.
-  reg->AddGauge("repair_backlog", [] { return 0.0; });
-  metrics_.AttachTimeline(reg);
-  for (int s = 0; s < obs::kNumDriveActivities; ++s) {
-    const std::string name =
-        std::string("state_") +
-        obs::DriveActivityName(static_cast<obs::DriveActivity>(s));
-    reg->AddAccum(name, [this, s] {
-      double total = 0;
-      for (const obs::DriveTimeInState& drive : accounting_.per_drive()) {
-        total += drive.seconds[static_cast<size_t>(s)];
-      }
-      return total;
-    });
-  }
+  life_.SetupTimeline(
+      [this] { return static_cast<double>(pending_.size()); },
+      [this] {
+        size_t depth = 0;
+        for (const DriveState& ds : drives_) depth += ds.sweep.size();
+        return static_cast<double>(depth);
+      },
+      // Scrub/repair is single-drive only; the gauge stays so the schema
+      // is uniform across engines.
+      [] { return 0.0; });
 }
 
 bool MultiDriveSimulator::ClaimedElsewhere(TapeId tape, int self) const {
@@ -186,13 +118,14 @@ void MultiDriveSimulator::BeginNextRead(int d, double now) {
   op_t += read;
   ds.pending_charge.emplace_back(obs::DriveActivity::kReading, op_t);
   ReadOutcome outcome;
-  if (faults_.has_value()) {
-    outcome = faults_->NextReadOutcome();
+  if (FaultModel* const faults = life_.faults()) {
+    FaultStats& fault_stats = life_.fault_stats();
+    outcome = faults->NextReadOutcome();
     // Each transient retry locates back to the block start and re-reads,
     // after an optional exponential-backoff wait (charged as locating so
     // the drive stays visibly occupied by the faulted operation).
     for (int r = 0; r < outcome.retries; ++r) {
-      const double backoff = faults_->NextRetryBackoff(r);
+      const double backoff = faults->NextRetryBackoff(r);
       if (backoff > 0) {
         op_seconds += backoff;
         op_t += backoff;
@@ -210,19 +143,20 @@ void MultiDriveSimulator::BeginNextRead(int d, double now) {
       op_t += again;
       ds.pending_charge.emplace_back(obs::DriveActivity::kReading, op_t);
     }
-    fault_stats_.transient_read_errors +=
+    fault_stats.transient_read_errors +=
         outcome.retries + (outcome.escalated ? 1 : 0);
-    fault_stats_.read_retries += outcome.retries;
-    if (outcome.escalated) ++fault_stats_.reads_escalated;
+    fault_stats.read_retries += outcome.retries;
+    if (outcome.escalated) ++fault_stats.reads_escalated;
   }
   const double end = now + op_seconds;
   // Absorb accumulation drift between the per-segment sums and op_seconds
   // into the final reading segment, so the flush lands exactly on the
   // completion event's timestamp.
   ds.pending_charge.back().second = end;
-  if (recorder_.has_value() && outcome.retries > 0) {
+  obs::TraceRecorder* const recorder = life_.recorder();
+  if (recorder != nullptr && outcome.retries > 0) {
     for (const Request& request : entry->requests) {
-      recorder_->RequestRetry(request.id, outcome.retries, end);
+      recorder->RequestRetry(request.id, outcome.retries, end);
     }
   }
   ds.committed_head = ds.unit.head();
@@ -236,7 +170,7 @@ void MultiDriveSimulator::Dispatch(int d, double now) {
   DriveState& ds = drives_[static_cast<size_t>(d)];
   if (ds.busy) return;
   // The gap since the drive's last charged activity was spent idle.
-  accounting_.ChargeTo(d, obs::DriveActivity::kIdle, now);
+  life_.accounting().ChargeTo(d, obs::DriveActivity::kIdle, now);
   if (drive_faults_ && ds.next_failure <= now) {
     // A failure epoch the clock has passed is charged lazily, when the
     // drive next acts (mirrors the single-drive simulator).
@@ -277,8 +211,19 @@ void MultiDriveSimulator::Dispatch(int d, double now) {
     return;
   }
 
-  if (recorder_.has_value()) {
-    RecordDispatchDecision(d, tape, mounted, candidates, now);
+  if (obs::TraceRecorder* const recorder = life_.recorder()) {
+    // The dispatcher selects tapes itself, so it builds the decision
+    // record itself instead of going through a Scheduler.
+    obs::DecisionRecord record;
+    record.scheduler =
+        std::string("multi-drive ") + TapePolicyName(drives_config_.policy);
+    record.drive = d;
+    record.chosen = tape;
+    record.mounted = mounted;
+    record.pending = static_cast<int64_t>(pending_.size());
+    ScoreCandidates(candidates, mounted, ds.unit.head(), cost_, &record);
+    recorder->SetNow(now);
+    recorder->RecordDecision(record);
   }
 
   const Position start_head = (tape == mounted) ? ds.unit.head() : 0;
@@ -292,7 +237,7 @@ void MultiDriveSimulator::Dispatch(int d, double now) {
                       &ds.sweep, &sweep_scratch_);
   TJ_CHECK(!ds.sweep.empty());
   ds.claim = tape;
-  TraceSweepContents(d, tape, now);
+  life_.TraceSweepContents(ds.sweep, tape, now);
 
   if (tape == mounted) {
     ds.committed_head = ds.unit.head();
@@ -318,14 +263,14 @@ void MultiDriveSimulator::Dispatch(int d, double now) {
   stats_.robot_wait_seconds += robot_start - local_done;
   const double robot_seconds = jukebox_->model().params().robot_seconds;
   double robot_busy = robot_seconds;
-  if (faults_.has_value()) {
+  if (FaultModel* const faults = life_.faults()) {
     // Robot handoff faults: each slip repeats the robot move, extending
     // the serialized arm occupancy other drives queue behind.
-    const int slips = faults_->NextRobotFaults();
+    const int slips = faults->NextRobotFaults();
     if (slips > 0) {
       const double extra = slips * robot_seconds;
-      fault_stats_.robot_faults += slips;
-      fault_stats_.robot_retry_seconds += extra;
+      life_.fault_stats().robot_faults += slips;
+      life_.fault_stats().robot_retry_seconds += extra;
       counters_.switch_seconds += extra;
       robot_busy += extra;
     }
@@ -346,15 +291,15 @@ void MultiDriveSimulator::Dispatch(int d, double now) {
   events_.Schedule(robot_free_at_ + load, d);
 }
 
-void MultiDriveSimulator::Route(const Request& request, double now) {
-  (void)now;
+void MultiDriveSimulator::Route(const std::optional<Request>& request) {
+  if (!request.has_value()) return;
   if (drives_config_.dynamic_insertion) {
     for (DriveState& ds : drives_) {
       if (ds.sweep.empty() || ds.claim == kInvalidTape) continue;
       const Replica* replica =
-          catalog_->LiveReplicaOn(request.block, ds.claim);
+          catalog_->LiveReplicaOn(request->block, ds.claim);
       if (replica != nullptr &&
-          ds.sweep.InsertRequest(request, replica->position,
+          ds.sweep.InsertRequest(*request, replica->position,
                                  ds.committed_head,
                                  drives_config_.options
                                      .allow_reverse_phase)) {
@@ -362,119 +307,37 @@ void MultiDriveSimulator::Route(const Request& request, double now) {
       }
     }
   }
-  pending_.push_back(request);
-}
-
-bool MultiDriveSimulator::DeliverOrFail(const Request& request, double now) {
-  metrics_.OnArrival(now);
-  if (recorder_.has_value() && recorder_->SampleRequest(request.id)) {
-    recorder_->RequestArrived(request.id, request.block,
-                              /*background=*/false, now);
-  }
-  if (faults_.has_value() && !catalog_->HasLiveReplica(request.block)) {
-    if (recorder_.has_value()) {
-      recorder_->RequestDone(request.id, obs::RequestOutcome::kFailed, now);
-    }
-    metrics_.OnFailure(request.arrival_time, now);
-    return false;
-  }
-  Route(request, now);
-  TrackDeadline(request);
-  return true;
-}
-
-void MultiDriveSimulator::IssueClosedRequest(double now) {
-  // Draw until a servable request is issued. A draw for a block whose
-  // every replica is dead completes instantly with an error (counted as
-  // issued + failed, so conservation holds) and the process retries; once
-  // the whole archive is lost the process stops issuing.
-  while (true) {
-    if (DeliverOrFail(workload_.NextRequest(now), now)) return;
-    if (!catalog_->HasAnyLive()) return;
-  }
-}
-
-void MultiDriveSimulator::FailRequest(const Request& request, double now) {
-  if (deadlines_possible_) deadline_live_.erase(request.id);
-  if (recorder_.has_value()) {
-    recorder_->RequestDone(request.id, obs::RequestOutcome::kFailed, now);
-  }
-  metrics_.OnFailure(request.arrival_time, now);
-  if (closed_) IssueClosedRequest(now);
+  pending_.push_back(*request);
 }
 
 void MultiDriveSimulator::Requeue(const std::vector<Request>& requests,
                                   double now) {
   for (const Request& request : requests) {
-    if (request.deadline > 0 && request.deadline <= now) {
-      // The fault drained a sweep holding an already-past-deadline request
-      // (its expiry event fired while it was committed and was skipped).
-      // Re-enqueueing it would lose the expiry forever, so settle it now.
-      ExpireRequest(request, now);
-      continue;
-    }
-    if (catalog_->HasLiveReplica(request.block)) {
-      ++fault_stats_.failovers;
-      if (recorder_.has_value()) {
-        recorder_->RequestFailover(request.id, now);
-      }
+    std::optional<Request> next;
+    if (life_.FailOver(request, now, &next)) {
       pending_.push_back(request);
     } else {
-      FailRequest(request, now);
+      Route(next);
     }
   }
 }
 
+// Both settle after the removal: closed-model regeneration pushes into
+// pending_.
 void MultiDriveSimulator::EvictUnservablePending(double now) {
-  std::vector<Request> dead;
-  std::vector<Request> keep;
-  for (const Request& request : pending_) {
-    if (catalog_->HasLiveReplica(request.block)) {
-      keep.push_back(request);
-    } else {
-      dead.push_back(request);
-    }
-  }
-  pending_.swap(keep);
-  // Failed after the swap: closed-model regeneration pushes into pending_.
-  for (const Request& request : dead) FailRequest(request, now);
-}
-
-void MultiDriveSimulator::TrackDeadline(const Request& request) {
-  if (request.deadline <= 0) return;
-  deadline_live_.insert(request.id);
-  expiries_.Schedule(request.deadline, request.id);
-}
-
-void MultiDriveSimulator::ExpireRequest(const Request& request, double now) {
-  deadline_live_.erase(request.id);
-  metrics_.OnExpired(request.arrival_time, now, request.tenant);
-  if (recorder_.has_value()) {
-    recorder_->RequestDone(request.id, obs::RequestOutcome::kExpired, now);
-  }
-  if (closed_) {
-    // The issuing process moves on exactly as it would after a completion.
-    if (faults_.has_value()) {
-      IssueClosedRequest(now);
-    } else {
-      DeliverOrFail(workload_.NextRequest(now), now);
-    }
+  for (const Request& request : TakeIf(&pending_, [this](const Request& r) {
+         return !catalog_->HasLiveReplica(r.block);
+       })) {
+    Route(life_.Fail(request, now));
   }
 }
 
 void MultiDriveSimulator::ExpirePendingPastDeadline(double now) {
-  std::vector<Request> expired;
-  std::vector<Request> keep;
-  for (const Request& request : pending_) {
-    if (request.deadline > 0 && request.deadline <= now) {
-      expired.push_back(request);
-    } else {
-      keep.push_back(request);
-    }
+  for (const Request& request : TakeIf(&pending_, [now](const Request& r) {
+         return r.deadline > 0 && r.deadline <= now;
+       })) {
+    Route(life_.Expire(request, now));
   }
-  pending_.swap(keep);
-  // Settled after the swap: closed-model regeneration pushes into pending_.
-  for (const Request& request : expired) ExpireRequest(request, now);
 }
 
 void MultiDriveSimulator::HandlePermanentError(int d,
@@ -483,24 +346,15 @@ void MultiDriveSimulator::HandlePermanentError(int d,
   DriveState& ds = drives_[static_cast<size_t>(d)];
   const TapeId tape = ds.claim;
   TJ_CHECK_NE(tape, kInvalidTape);
-  ++fault_stats_.permanent_media_errors;
+  std::vector<BlockId> newly_masked;
+  life_.MaskLostMedia(tape, entry.block, whole_tape, &newly_masked);
   if (whole_tape) {
-    ++fault_stats_.dead_tapes;
-    std::vector<BlockId> newly_masked;
-    fault_stats_.replicas_masked +=
-        mutable_catalog_->MarkTapeDead(tape, &newly_masked);
-    for (const BlockId block : newly_masked) {
-      if (!catalog_->HasLiveReplica(block)) ++fault_stats_.blocks_lost;
-    }
     // The rest of this drive's sweep read the dead tape (claims are
     // exclusive, so no other drive's sweep does); fail each request over
     // to a surviving replica.
     while (!ds.sweep.empty()) {
       Requeue(ds.sweep.Pop()->requests, now);
     }
-  } else if (mutable_catalog_->MarkReplicaDead(entry.block, tape)) {
-    ++fault_stats_.replicas_masked;
-    if (!catalog_->HasLiveReplica(entry.block)) ++fault_stats_.blocks_lost;
   }
   Requeue(entry.requests, now);
   EvictUnservablePending(now);
@@ -508,9 +362,10 @@ void MultiDriveSimulator::HandlePermanentError(int d,
 
 void MultiDriveSimulator::FailDrive(int d, double now) {
   DriveState& ds = drives_[static_cast<size_t>(d)];
-  ++fault_stats_.drive_failures;
-  const double repair = faults_->NextRepairTime();
-  fault_stats_.drive_repair_seconds += repair;
+  FaultModel* const faults = life_.faults();
+  ++life_.fault_stats().drive_failures;
+  const double repair = faults->NextRepairTime();
+  life_.fault_stats().drive_repair_seconds += repair;
   // Void in-flight work and hand everything back to the shared pending
   // list so surviving drives pick it up. The tape stays jammed in this
   // drive — the claim is kept, so requests living only on it wait out the
@@ -527,7 +382,7 @@ void MultiDriveSimulator::FailDrive(int d, double now) {
   ds.busy = true;
   // The repair interval is down time, charged when its event fires.
   ds.pending_charge.emplace_back(obs::DriveActivity::kDown, now + repair);
-  ds.next_failure = now + repair + faults_->NextFailureGap();
+  ds.next_failure = now + repair + faults->NextFailureGap();
   events_.Schedule(now + repair, drives_config_.num_drives + d);
 }
 
@@ -540,108 +395,50 @@ void MultiDriveSimulator::WakeIdleDrives(double now) {
 void MultiDriveSimulator::FlushCharges(int d, double limit) {
   DriveState& ds = drives_[static_cast<size_t>(d)];
   for (const auto& [activity, end] : ds.pending_charge) {
-    accounting_.ChargeTo(d, activity, std::min(end, limit));
+    life_.accounting().ChargeTo(d, activity, std::min(end, limit));
   }
   ds.pending_charge.clear();
-}
-
-void MultiDriveSimulator::RecordDispatchDecision(
-    int d, TapeId chosen, TapeId mounted,
-    const std::vector<TapeCandidate>& candidates, double now) {
-  obs::DecisionRecord record;
-  record.scheduler =
-      std::string("multi-drive ") + TapePolicyName(drives_config_.policy);
-  record.drive = d;
-  record.chosen = chosen;
-  record.mounted = mounted;
-  record.pending = static_cast<int64_t>(pending_.size());
-  const Position head = drives_[static_cast<size_t>(d)].unit.head();
-  for (const TapeCandidate& c : candidates) {
-    if (c.requests.empty()) continue;
-    obs::TapeCandidateScore score;
-    score.tape = c.tape;
-    score.num_requests = c.num_requests();
-    score.bandwidth_mbps =
-        cost_.EstimateVisit(c.tape, mounted, head, c.positions)
-            .BandwidthMBps();
-    score.serves_oldest = c.serves_oldest;
-    record.candidates.push_back(score);
-  }
-  recorder_->SetNow(now);
-  recorder_->RecordDecision(record);
-}
-
-void MultiDriveSimulator::TraceSweepContents(int d, TapeId tape, double now) {
-  if (!recorder_.has_value() || !recorder_->trace_enabled()) return;
-  const Sweep& sweep = drives_[static_cast<size_t>(d)].sweep;
-  for (const ServiceEntry& entry : sweep.forward()) {
-    for (const Request& request : entry.requests) {
-      recorder_->RequestScheduled(request.id, tape, now);
-    }
-  }
-  for (const ServiceEntry& entry : sweep.reverse()) {
-    for (const Request& request : entry.requests) {
-      recorder_->RequestScheduled(request.id, tape, now);
-    }
-  }
 }
 
 SimulationResult MultiDriveSimulator::Run() {
   TJ_CHECK(!ran_) << "Run may be called once";
   ran_ = true;
-  closed_ = sim_config_.workload.model == QueuingModel::kClosed;
+  const SimulationConfig& sim = life_.config();
+  const bool closed = life_.closed();
   constexpr double kInf = std::numeric_limits<double>::infinity();
 
-  if (closed_) {
-    for (int64_t i = 0; i < sim_config_.workload.queue_length; ++i) {
-      DeliverOrFail(workload_.NextRequest(0.0), 0.0);
+  if (closed) {
+    for (int64_t i = 0; i < sim.workload.queue_length; ++i) {
+      Route(life_.IssueClosed(0.0));
     }
   } else {
-    next_arrival_ = workload_.NextArrivalGap(0.0);
+    next_arrival_ = life_.workload().NextArrivalGap(0.0);
   }
   WakeIdleDrives(0.0);
-  if (sim_config_.warmup_seconds == 0) {
-    warmup_marked_ = true;
-    metrics_.MarkWarmupBoundary(counters_);
-  }
+  life_.MaybeMarkWarmup(0.0, counters_);
 
-  while (clock_ < sim_config_.duration_seconds) {
+  while (clock_ < sim.duration_seconds) {
     const double event_time = events_.empty() ? kInf : events_.NextTime();
-    const double arrival_time = closed_ ? kInf : next_arrival_;
-    const double expiry_time = (deadlines_possible_ && !expiries_.empty())
-                                   ? expiries_.NextTime()
-                                   : kInf;
+    const double arrival_time = closed ? kInf : next_arrival_;
+    const double expiry_time = life_.next_expiry();
     const double next = std::min({event_time, arrival_time, expiry_time});
-    if (next == kInf || next > sim_config_.duration_seconds) break;
+    if (next == kInf || next > sim.duration_seconds) break;
     // Timeline samples due before the next event read the state as of
     // their sample time. Pure observation: the sampler never advances
     // clock_, wakes a drive, or marks warm-up, so results are unchanged.
-    if (timeline_.has_value()) timeline_->SampleUpTo(next);
+    if (obs::TimelineSampler* timeline = life_.timeline()) {
+      timeline->SampleUpTo(next);
+    }
     clock_ = next;
 
     if (expiry_time <= event_time && expiry_time <= arrival_time) {
-      const auto [time, id] = expiries_.Pop();
-      (void)time;
       // Stale events (the request completed, failed, or was evicted by an
       // earlier scan) are skipped; requests already extracted into a
       // drive's sweep are committed and left to complete normally.
-      if (deadline_live_.contains(id)) ExpirePendingPastDeadline(clock_);
+      if (life_.PopExpiry()) ExpirePendingPastDeadline(clock_);
     } else if (arrival_time <= event_time) {
-      const Request request = workload_.NextRequest(clock_);
-      if (admission_.has_value() &&
-          !admission_->Admit(request.tenant, clock_,
-                             metrics_.outstanding_now())) {
-        metrics_.OnShed(clock_, request.tenant);
-        if (recorder_.has_value() && recorder_->SampleRequest(request.id)) {
-          recorder_->RequestArrived(request.id, request.block,
-                                    /*background=*/false, clock_);
-          recorder_->RequestDone(request.id, obs::RequestOutcome::kShed,
-                                 clock_);
-        }
-      } else {
-        DeliverOrFail(request, clock_);
-      }
-      next_arrival_ = clock_ + workload_.NextArrivalGap(clock_);
+      Route(life_.Arrive(life_.workload().NextRequest(clock_)));
+      next_arrival_ = clock_ + life_.workload().NextArrivalGap(clock_);
     } else {
       const auto [time, payload] = events_.Pop();
       (void)time;
@@ -669,32 +466,7 @@ SimulationResult MultiDriveSimulator::Run() {
               HandlePermanentError(d, entry, outcome.whole_tape, clock_);
             } else {
               for (const Request& request : entry.requests) {
-                if (faults_.has_value() &&
-                    catalog_->LiveReplicaCount(request.block) <
-                        static_cast<int64_t>(
-                            catalog_->ReplicasOf(request.block).size())) {
-                  ++fault_stats_.degraded_reads;
-                }
-                if (recorder_.has_value()) {
-                  recorder_->RequestDone(request.id,
-                                         obs::RequestOutcome::kCompleted,
-                                         clock_);
-                }
-                metrics_.OnCompletion(request.arrival_time, clock_,
-                                      request.tenant);
-                if (admission_.has_value()) {
-                  admission_->OnCompletion(request.tenant,
-                                           clock_ - request.arrival_time,
-                                           clock_);
-                }
-                if (deadlines_possible_) deadline_live_.erase(request.id);
-                if (closed_) {
-                  if (faults_.has_value()) {
-                    IssueClosedRequest(clock_);
-                  } else {
-                    DeliverOrFail(workload_.NextRequest(clock_), clock_);
-                  }
-                }
+                Route(life_.Complete(request, clock_));
               }
             }
           }
@@ -703,47 +475,18 @@ SimulationResult MultiDriveSimulator::Run() {
       }
     }
     WakeIdleDrives(clock_);
-    if (!warmup_marked_ && clock_ >= sim_config_.warmup_seconds) {
-      warmup_marked_ = true;
-      metrics_.MarkWarmupBoundary(counters_);
-    }
+    life_.MaybeMarkWarmup(clock_, counters_);
   }
-  if (!warmup_marked_) metrics_.MarkWarmupBoundary(counters_);
+  // A run that stops short of the warm-up boundary still marks it, at the
+  // final counters.
+  life_.MaybeMarkWarmup(kInf, counters_);
   // Clip the segments of operations still in flight at the final clock
   // (their completion events never fired), then close every drive's
   // interval so per-drive state time sums to the measured window.
   for (size_t d = 0; d < drives_.size(); ++d) {
     FlushCharges(static_cast<int>(d), clock_);
   }
-  accounting_.FinishAt(clock_);
-  if (timeline_.has_value()) {
-    // After accounting_.FinishAt so the final row's time-in-state deltas
-    // cover the whole run. Timeline output must never fail the run.
-    const Status timeline_status = timeline_->FinishAt(clock_);
-    if (!timeline_status.ok()) {
-      std::cerr << "warning: timeline output failed: "
-                << timeline_status.ToString() << "\n";
-    }
-  }
-  SimulationResult result = metrics_.Finalize(clock_, counters_, &accounting_);
-  if (faults_.has_value()) {
-    result.fault_injection = true;
-    result.faults = fault_stats_;
-    const int64_t total = catalog_->TotalCopies();
-    if (total > 0) {
-      result.live_replica_fraction =
-          static_cast<double>(total - catalog_->dead_replicas()) /
-          static_cast<double>(total);
-    }
-  }
-  if (recorder_.has_value()) {
-    const Status obs_status = recorder_->Finalize(clock_);
-    if (!obs_status.ok()) {
-      std::cerr << "warning: observability output failed: "
-                << obs_status.ToString() << "\n";
-    }
-  }
-  return result;
+  return life_.Finish(clock_, counters_);
 }
 
 }  // namespace tapejuke

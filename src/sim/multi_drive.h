@@ -14,6 +14,12 @@
 // Scaling is sub-linear for three reasons the bench quantifies: robot
 // contention, tape-claim conflicts (two drives cannot mount one tape), and
 // the fragmentation of each tape's batch across more frequent visits.
+//
+// The engine-independent half of each request's life (arrival accounting,
+// settlement, closed-model reissue, fault bookkeeping, telemetry setup and
+// finalisation) lives in RequestLifecycle, shared with Simulator. This
+// class keeps the drives, the robot arm, the event loop, the shared
+// pending list and the dispatcher.
 
 #ifndef TAPEJUKE_SIM_MULTI_DRIVE_H_
 #define TAPEJUKE_SIM_MULTI_DRIVE_H_
@@ -23,21 +29,17 @@
 #include <vector>
 
 #include "layout/catalog.h"
-#include "obs/recorder.h"
 #include "obs/time_in_state.h"
 #include "sched/schedule_cost.h"
 #include "sched/scheduler.h"
 #include "sched/sweep.h"
 #include "sched/sweep_builder.h"
-#include "sim/admission.h"
 #include "sim/event_queue.h"
 #include "sim/fault_model.h"
 #include "sim/metrics.h"
-#include "sim/simulator.h"
-#include "sim/workload.h"
+#include "sim/request_lifecycle.h"
 #include "tape/drive.h"
 #include "tape/jukebox.h"
-#include "util/flat_hash.h"
 #include "util/status.h"
 
 namespace tapejuke {
@@ -50,7 +52,11 @@ struct MultiDriveConfig {
   bool dynamic_insertion = true;
   SchedulerOptions options;
 
-  Status Validate() const;
+  /// Checks these parameters and the inputs of `sim` this engine cannot
+  /// honour: scrub/repair and closed-model think time are single-drive
+  /// only. The constructors, the farm and the command-line tools all
+  /// reject through this one check.
+  Status Validate(const SimulationConfig& sim) const;
 };
 
 /// Extra observability for the multi-drive run.
@@ -67,9 +73,10 @@ class MultiDriveSimulator {
  public:
   /// `jukebox` supplies the tape pool, timing model, and layout geometry
   /// (its built-in single drive is unused). All pointers must outlive the
-  /// simulator. This overload is fault-free only: sim.faults must be
-  /// disabled (permanent media errors mask catalog replicas, which needs
-  /// the mutable-catalog overload below).
+  /// simulator; `drives.Validate(sim)` must pass (TJ_CHECK). This overload
+  /// is fault-free only: sim.faults must be disabled (permanent media
+  /// errors mask catalog replicas, which needs the mutable-catalog
+  /// overload below).
   MultiDriveSimulator(Jukebox* jukebox, const Catalog* catalog,
                       const MultiDriveConfig& drives,
                       const SimulationConfig& sim);
@@ -89,17 +96,22 @@ class MultiDriveSimulator {
   /// Raw metrics collector and cumulative activity counters, for callers
   /// that aggregate several runs into one result (the farm merges per-box
   /// collectors). Valid after Run.
-  const MetricsCollector& metrics() const { return metrics_; }
+  const MetricsCollector& metrics() const { return life_.metrics(); }
   const JukeboxCounters& counters() const { return counters_; }
 
   /// Buffered timeline rows/summary, for callers that merge per-box
   /// timelines (the farm). Null unless sim.timeline is enabled; valid
   /// after Run.
-  const obs::TimelineSampler* timeline() const {
-    return timeline_.has_value() ? &*timeline_ : nullptr;
-  }
+  const obs::TimelineSampler* timeline() const { return life_.timeline(); }
 
  private:
+  /// Constructor body shared by both overloads (`mutable_catalog` is
+  /// `catalog` or null).
+  MultiDriveSimulator(Jukebox* jukebox, const Catalog* catalog,
+                      Catalog* mutable_catalog,
+                      const MultiDriveConfig& drives,
+                      const SimulationConfig& sim);
+
   struct DriveState {
     explicit DriveState(const TimingModel* model) : unit(model) {}
     Drive unit;
@@ -134,37 +146,16 @@ class MultiDriveSimulator {
   /// Starts the next sweep entry on drive `d` (sweep must be non-empty).
   void BeginNextRead(int d, double now);
 
-  /// Routes one request through the incremental rule (no metrics side
-  /// effects; the caller has already counted the arrival).
-  void Route(const Request& request, double now);
+  /// Routes a request the lifecycle admitted or reissued through the
+  /// incremental rule; no-op for nullopt.
+  void Route(const std::optional<Request>& request);
 
-  /// Counts the arrival and routes it. With faults on, an arrival whose
-  /// every replica is dead completes instantly with an error instead.
-  /// Returns true if the request was routed.
-  bool DeliverOrFail(const Request& request, double now);
-
-  /// Closed model under faults: draws until a servable request is issued
-  /// (dead draws count as issued + failed), or the whole archive is lost.
-  void IssueClosedRequest(double now);
-
-  /// Completes `request` with an error; in the closed model the issuing
-  /// process then issues its next request.
-  void FailRequest(const Request& request, double now);
-
-  /// Hands requests back to the shared pending list (a failover) or fails
-  /// those whose every replica is dead.
+  /// Hands requests back to the shared pending list (a failover) or lets
+  /// the lifecycle settle those it cannot serve.
   void Requeue(const std::vector<Request>& requests, double now);
 
   /// Fails every pending request whose last live replica is gone.
   void EvictUnservablePending(double now);
-
-  /// Registers `request`'s deadline with the expiry queue (no-op when it
-  /// has none).
-  void TrackDeadline(const Request& request);
-
-  /// Completes `request` as expired at `now`; in the closed model the
-  /// issuing process then issues its next request.
-  void ExpireRequest(const Request& request, double now);
 
   /// Evicts every pending request whose deadline has passed (requests
   /// already extracted into a drive's sweep are committed and complete
@@ -188,29 +179,12 @@ class MultiDriveSimulator {
   /// `limit`, and clears them.
   void FlushCharges(int d, double limit);
 
-  /// Pushes one DecisionRecord for drive `d`'s tape selection (the
-  /// multi-drive dispatcher does its own selection, so it builds records
-  /// itself instead of going through a Scheduler). Call with the recorder
-  /// engaged, after SelectTape but before extracting the sweep.
-  void RecordDispatchDecision(int d, TapeId chosen, TapeId mounted,
-                              const std::vector<TapeCandidate>& candidates,
-                              double now);
-
-  /// Emits scheduled-into-sweep instants for drive `d`'s just-built sweep.
-  void TraceSweepContents(int d, TapeId tape, double now);
-
-  /// Engages the timeline sampler and registers every probe. Must run
-  /// last in both constructors, after the optional subsystems are engaged.
-  void SetupTimeline();
-
   Jukebox* jukebox_;
   const Catalog* catalog_;
-  /// Non-null only via the mutable-catalog constructor (fault injection).
-  Catalog* mutable_catalog_ = nullptr;
   MultiDriveConfig drives_config_;
-  SimulationConfig sim_config_;
-  WorkloadGenerator workload_;
-  MetricsCollector metrics_;
+  /// The shared request lifecycle: metrics, recorder, timeline, faults,
+  /// admission, deadlines and the closed model's processes.
+  RequestLifecycle life_;
   ScheduleCost cost_;
   CandidateBuilder candidate_builder_;
   SweepScratch sweep_scratch_;
@@ -221,39 +195,11 @@ class MultiDriveSimulator {
   double robot_free_at_ = 0;
   double clock_ = 0;
   double next_arrival_ = 0;
-  bool warmup_marked_ = false;
   bool ran_ = false;
-  bool closed_ = false;
-
-  /// Engaged by the mutable-catalog constructor when any fault rate is set.
-  std::optional<FaultModel> faults_;
-  FaultStats fault_stats_;
   bool drive_faults_ = false;
-
-  /// Overload protection (mirrors Simulator): admission_ is engaged iff
-  /// sim.admission.enabled(); expiry events carry the request id and
-  /// deadline_live_ filters events whose request already settled;
-  /// deadlines_possible_ gates the machinery so deadline-free runs make no
-  /// extra queue operations.
-  std::optional<AdmissionController> admission_;
-  EventQueue<RequestId> expiries_;
-  FlatSet<RequestId> deadline_live_;
-  bool deadlines_possible_ = false;
 
   JukeboxCounters counters_;
   MultiDriveStats stats_;
-
-  /// Per-drive time-in-state accounting (always on; folded into the
-  /// result). Cursors advance only at event-processing time via
-  /// FlushCharges, so they track the clock exactly.
-  obs::TimeInStateAccounting accounting_;
-  /// Engaged only when sim.obs asks for output (tracing is opt-in).
-  std::optional<obs::TraceRecorder> recorder_;
-  /// Engaged iff sim.timeline.enabled(). Samples are emitted before each
-  /// main-loop event is processed — pure observation, never a clock
-  /// advance, drive wake-up, or warm-up mark, so enabling the timeline
-  /// cannot change simulation results.
-  std::optional<obs::TimelineSampler> timeline_;
 };
 
 }  // namespace tapejuke

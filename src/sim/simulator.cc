@@ -1,236 +1,101 @@
 #include "sim/simulator.h"
 
-#include <iostream>
 #include <limits>
+#include <utility>
 
 #include "util/check.h"
 
 namespace tapejuke {
 
-Status SimulationConfig::Validate() const {
-  if (duration_seconds <= 0) {
-    return Status::InvalidArgument("duration must be positive");
-  }
-  if (obs.sample < 1) {
-    return Status::InvalidArgument("trace sample must be >= 1");
-  }
-  if (timeline.interval_seconds < 0) {
-    return Status::InvalidArgument("timeline interval must be >= 0");
-  }
-  if (!timeline.out.empty() && timeline.interval_seconds <= 0) {
-    return Status::InvalidArgument(
-        "timeline output requires a positive --timeline-interval");
-  }
-  if (warmup_seconds < 0 || warmup_seconds >= duration_seconds) {
-    return Status::InvalidArgument(
-        "warmup must be in [0, duration_seconds)");
-  }
-  const Status fault_status = faults.Validate();
-  if (!fault_status.ok()) return fault_status;
-  const Status repair_status = repair.Validate();
-  if (!repair_status.ok()) return repair_status;
-  if (repair.enabled() && !faults.enabled()) {
-    return Status::InvalidArgument(
-        "scrub/repair requires fault injection (config.faults)");
-  }
-  const Status admission_status = admission.Validate(workload);
-  if (!admission_status.ok()) return admission_status;
-  return workload.Validate();
-}
-
 Simulator::Simulator(Jukebox* jukebox, const Catalog* catalog,
                      Scheduler* scheduler, const SimulationConfig& config)
-    : jukebox_(jukebox),
-      catalog_(catalog),
-      scheduler_(scheduler),
-      config_(config),
-      workload_(catalog, config.workload),
-      metrics_(config.warmup_seconds, jukebox->config().block_size_mb),
-      accounting_(/*num_drives=*/1, config.warmup_seconds) {
-  TJ_CHECK(jukebox != nullptr);
-  TJ_CHECK(catalog != nullptr);
-  TJ_CHECK(scheduler != nullptr);
-  const Status status = config.Validate();
-  TJ_CHECK(status.ok()) << status.ToString();
-  TJ_CHECK(!config.faults.enabled())
-      << "fault injection requires the mutable-catalog Simulator "
-         "constructor (permanent media errors mask catalog replicas)";
-  if (config_.obs.enabled()) {
-    recorder_.emplace(config_.obs);
-    recorder_->SetTopology("jukebox", /*num_drives=*/1);
-    accounting_.set_recorder(&*recorder_);
-    scheduler_->set_decision_sink(&*recorder_);
-  }
-  if (config_.workload.HasTenantClasses()) {
-    metrics_.ConfigureClasses(
-        static_cast<int>(config_.workload.tenant_classes.size()));
-    for (const TenantClassConfig& cls : config_.workload.tenant_classes) {
-      if (cls.deadline_seconds > 0) deadlines_possible_ = true;
-    }
-  }
-  if (config_.admission.enabled()) {
-    admission_.emplace(config_.admission, config_.workload.tenant_classes);
-  }
-  SetupTimeline();
+    : Simulator(jukebox, catalog, nullptr, scheduler, config, std::nullopt) {
 }
 
 Simulator::Simulator(Jukebox* jukebox, Catalog* catalog, Scheduler* scheduler,
                      const SimulationConfig& config)
-    : jukebox_(jukebox),
-      catalog_(catalog),
-      mutable_catalog_(catalog),
-      scheduler_(scheduler),
-      config_(config),
-      workload_(catalog, config.workload),
-      metrics_(config.warmup_seconds, jukebox->config().block_size_mb),
-      accounting_(/*num_drives=*/1, config.warmup_seconds) {
-  TJ_CHECK(jukebox != nullptr);
-  TJ_CHECK(catalog != nullptr);
-  TJ_CHECK(scheduler != nullptr);
-  const Status status = config.Validate();
-  TJ_CHECK(status.ok()) << status.ToString();
-  if (config_.obs.enabled()) {
-    recorder_.emplace(config_.obs);
-    recorder_->SetTopology("jukebox", /*num_drives=*/1);
-    accounting_.set_recorder(&*recorder_);
-    scheduler_->set_decision_sink(&*recorder_);
-  }
-  if (config_.faults.enabled()) {
-    faults_.emplace(config_.faults, config_.workload.seed);
-    if (config_.faults.drive_mtbf_seconds > 0) {
-      drive_faults_ = true;
-      next_drive_failure_ = faults_->NextFailureGap();
-    }
-    if (config_.repair.enabled()) {
-      repair_.emplace(config_.repair, jukebox_, mutable_catalog_, scheduler_,
-                      &*faults_, &fault_stats_);
-      if (recorder_.has_value()) repair_->set_recorder(&*recorder_);
-    }
-  }
-  if (config_.workload.HasTenantClasses()) {
-    metrics_.ConfigureClasses(
-        static_cast<int>(config_.workload.tenant_classes.size()));
-    for (const TenantClassConfig& cls : config_.workload.tenant_classes) {
-      if (cls.deadline_seconds > 0) deadlines_possible_ = true;
-    }
-  }
-  if (config_.admission.enabled()) {
-    admission_.emplace(config_.admission, config_.workload.tenant_classes);
-  }
-  SetupTimeline();
+    : Simulator(jukebox, catalog, catalog, scheduler, config, std::nullopt) {
 }
 
 Simulator::Simulator(Jukebox* jukebox, const Catalog* catalog,
                      Scheduler* scheduler, const SimulationConfig& config,
                      std::vector<Request> trace)
-    : Simulator(jukebox, catalog, scheduler, config) {
-  trace_mode_ = true;
-  trace_ = std::move(trace);
-  RequestId next_id = 0;
-  double previous = 0;
-  for (Request& request : trace_) {
-    TJ_CHECK_GE(request.arrival_time, previous)
-        << "trace arrivals must be time-ordered";
-    previous = request.arrival_time;
-    TJ_CHECK(request.block >= 0 && request.block < catalog->num_blocks())
-        << "trace references unknown block" << request.block;
-    request.id = next_id++;
-    if (request.deadline > 0) deadlines_possible_ = true;
-  }
-}
+    : Simulator(jukebox, catalog, nullptr, scheduler, config,
+                std::move(trace)) {}
 
-bool Simulator::DeliverOrFail(const Request& request,
-                              Position committed_head) {
-  if (recorder_.has_value()) {
-    recorder_->RequestArrived(request.id, request.block,
-                              /*background=*/false, request.arrival_time);
-  }
-  if (faults_.has_value() && !catalog_->HasLiveReplica(request.block)) {
-    metrics_.OnFailure(request.arrival_time, request.arrival_time);
-    if (recorder_.has_value()) {
-      recorder_->RequestDone(request.id, obs::RequestOutcome::kFailed,
-                             request.arrival_time);
+Simulator::Simulator(Jukebox* jukebox, const Catalog* catalog,
+                     Catalog* mutable_catalog, Scheduler* scheduler,
+                     const SimulationConfig& config,
+                     std::optional<std::vector<Request>> trace)
+    : jukebox_(jukebox),
+      scheduler_(scheduler),
+      life_(catalog, mutable_catalog, config, /*num_drives=*/1,
+            jukebox->config().block_size_mb,
+            /*closed=*/!trace.has_value() &&
+                config.workload.model == QueuingModel::kClosed) {
+  TJ_CHECK(jukebox != nullptr);
+  TJ_CHECK(scheduler != nullptr);
+  obs::TraceRecorder* recorder = life_.recorder();
+  if (recorder != nullptr) scheduler_->set_decision_sink(recorder);
+  if (FaultModel* faults = life_.faults()) {
+    if (config.faults.drive_mtbf_seconds > 0) {
+      drive_faults_ = true;
+      next_drive_failure_ = faults->NextFailureGap();
     }
-    return false;
-  }
-  scheduler_->OnArrival(request, committed_head);
-  TrackDeadline(request);
-  return true;
-}
-
-void Simulator::TrackDeadline(const Request& request) {
-  if (request.deadline <= 0) return;
-  deadline_live_.insert(request.id);
-  expiries_.Schedule(request.deadline, request.id);
-}
-
-void Simulator::ExpireRequest(const Request& request, double now,
-                              Position committed_head) {
-  deadline_live_.erase(request.id);
-  metrics_.OnExpired(request.arrival_time, now, request.tenant);
-  if (recorder_.has_value()) {
-    recorder_->RequestDone(request.id, obs::RequestOutcome::kExpired, now);
-  }
-  if (closed_) {
-    // The issuing process moves on exactly as it would after a completion.
-    if (config_.workload.think_time_seconds > 0) {
-      thinking_.Schedule(now + workload_.NextThinkTime(), 0);
-    } else {
-      IssueClosedRequest(now, committed_head);
+    if (config.repair.enabled()) {
+      repair_.emplace(config.repair, jukebox_, mutable_catalog, scheduler_,
+                      faults, &life_.fault_stats());
+      if (recorder != nullptr) repair_->set_recorder(recorder);
     }
   }
+  if (trace.has_value()) {
+    trace_mode_ = true;
+    trace_ = std::move(*trace);
+    RequestId next_id = 0;
+    double previous = 0;
+    for (Request& request : trace_) {
+      TJ_CHECK_GE(request.arrival_time, previous)
+          << "trace arrivals must be time-ordered";
+      previous = request.arrival_time;
+      TJ_CHECK(request.block >= 0 && request.block < catalog->num_blocks())
+          << "trace references unknown block" << request.block;
+      request.id = next_id++;
+    }
+  }
+  life_.SetupTimeline(
+      [this] { return static_cast<double>(scheduler_->pending_size()); },
+      [this] { return static_cast<double>(scheduler_->sweep_size()); },
+      [this] {
+        return repair_.has_value()
+                   ? static_cast<double>(repair_->outstanding_tasks())
+                   : 0.0;
+      });
+}
+
+void Simulator::Route(const std::optional<Request>& request,
+                      Position committed_head) {
+  if (request.has_value()) scheduler_->OnArrival(*request, committed_head);
 }
 
 void Simulator::ProcessExpiriesUpTo(double until, Position committed_head) {
-  if (!deadlines_possible_ && !timeline_.has_value()) return;
-  if (deadlines_possible_) {
-    while (auto event = expiries_.PopUntil(until)) {
-      // Timeline samples due before this expiry read the queue state as it
-      // was at their sample time, keeping rows in strict time order.
-      if (timeline_.has_value()) timeline_->SampleUpTo(event->first);
-      // Stale events (the request completed, failed, or was evicted by an
-      // earlier sweep) are skipped; requests currently inside the active
-      // sweep are left to finish and their event simply expires unused.
-      if (!deadline_live_.contains(event->second)) continue;
-      for (const Request& request : scheduler_->EvictExpired(event->first)) {
-        ExpireRequest(request, event->first, committed_head);
-      }
+  obs::TimelineSampler* timeline = life_.timeline();
+  while (life_.next_expiry() <= until) {
+    const double time = life_.next_expiry();
+    // Timeline samples due before this expiry read the queue state as it
+    // was at their sample time, keeping rows in strict time order.
+    if (timeline != nullptr) timeline->SampleUpTo(time);
+    // Stale events (the request completed, failed, or was evicted by an
+    // earlier sweep) are skipped; requests currently inside the active
+    // sweep are left to finish and their event simply expires unused.
+    if (!life_.PopExpiry()) continue;
+    for (const Request& request : scheduler_->EvictExpired(time)) {
+      Route(life_.Expire(request, time), committed_head);
     }
   }
   // This runs before every clock advance (each run-loop path delivers
   // arrivals up to its end time first), so sampling here covers the whole
   // run; a sample due exactly at `until` fires before that event settles.
-  if (timeline_.has_value()) timeline_->SampleUpTo(until);
-}
-
-void Simulator::IssueClosedRequest(double now, Position committed_head) {
-  // Draw until a servable request is issued. A draw for a block whose
-  // every replica is dead completes instantly with an error (counted as
-  // issued + failed, so conservation holds) and the process retries; once
-  // the whole archive is lost the process stops issuing.
-  while (true) {
-    const Request request = workload_.NextRequest(now);
-    metrics_.OnArrival(now);
-    if (DeliverOrFail(request, committed_head)) return;
-    if (!catalog_->HasAnyLive()) return;
-  }
-}
-
-void Simulator::FailRequest(const Request& request) {
-  if (deadlines_possible_) deadline_live_.erase(request.id);
-  metrics_.OnFailure(request.arrival_time, clock_);
-  if (recorder_.has_value()) {
-    recorder_->RequestDone(request.id, obs::RequestOutcome::kFailed, clock_);
-  }
-  if (closed_) {
-    // The issuing process continues: it issues its next request,
-    // immediately or after a think period, exactly as on completion.
-    if (config_.workload.think_time_seconds > 0) {
-      thinking_.Schedule(clock_ + workload_.NextThinkTime(), 0);
-    } else {
-      IssueClosedRequest(clock_, jukebox_->head());
-    }
-  }
+  if (timeline != nullptr) timeline->SampleUpTo(until);
 }
 
 void Simulator::Requeue(const Request& request) {
@@ -240,44 +105,26 @@ void Simulator::Requeue(const Request& request) {
     if (repair_.has_value()) repair_->OnBackgroundDisplaced(request, clock_);
     return;
   }
-  if (request.deadline > 0 && request.deadline <= clock_) {
-    // The fault drained a sweep holding an already-past-deadline request
-    // (its expiry event fired while it was committed and was skipped).
-    // Re-enqueueing it would lose the expiry forever, so settle it now.
-    ExpireRequest(request, clock_, jukebox_->head());
-    return;
-  }
-  if (catalog_->HasLiveReplica(request.block)) {
-    ++fault_stats_.failovers;
-    if (recorder_.has_value()) recorder_->RequestFailover(request.id, clock_);
-    scheduler_->OnArrival(request, jukebox_->head());
-  } else {
-    FailRequest(request);
-  }
+  std::optional<Request> next;
+  if (life_.FailOver(request, clock_, &next)) next = request;
+  Route(next, jukebox_->head());
 }
 
 void Simulator::HandlePermanentError(const ServiceEntry& entry,
                                      bool whole_tape) {
   const TapeId tape = jukebox_->mounted_tape();
-  ++fault_stats_.permanent_media_errors;
+  std::vector<BlockId> newly_masked;
+  const bool masked =
+      life_.MaskLostMedia(tape, entry.block, whole_tape, &newly_masked);
   if (whole_tape) {
-    ++fault_stats_.dead_tapes;
-    std::vector<BlockId> newly_masked;
-    fault_stats_.replicas_masked +=
-        mutable_catalog_->MarkTapeDead(tape, &newly_masked);
-    for (const BlockId block : newly_masked) {
-      if (!catalog_->HasLiveReplica(block)) ++fault_stats_.blocks_lost;
-    }
     // Every remaining sweep entry read this tape; drain them and fail each
     // request over to a surviving replica.
     for (const Request& request : scheduler_->DrainSweep()) {
       Requeue(request);
     }
     if (repair_.has_value()) repair_->OnTapeDead(tape, newly_masked, clock_);
-  } else if (mutable_catalog_->MarkReplicaDead(entry.block, tape)) {
-    ++fault_stats_.replicas_masked;
-    if (!catalog_->HasLiveReplica(entry.block)) ++fault_stats_.blocks_lost;
-    if (repair_.has_value()) repair_->OnReplicaDead(entry.block, tape, clock_);
+  } else if (masked && repair_.has_value()) {
+    repair_->OnReplicaDead(entry.block, tape, clock_);
   }
   // The requests this read was serving fail over (or fail outright).
   for (const Request& request : entry.requests) Requeue(request);
@@ -290,7 +137,7 @@ void Simulator::EvictUnservable() {
     if (request.cls == RequestClass::kBackground) {
       if (repair_.has_value()) repair_->OnBackgroundEvicted(request.block);
     } else {
-      FailRequest(request);
+      Route(life_.Fail(request, clock_), jukebox_->head());
     }
   }
 }
@@ -301,185 +148,75 @@ void Simulator::AdvancePastDriveRepairs() {
   // each one the clock has passed charges a repair interval during which
   // the drive is down. Arrivals keep flowing while it is repaired.
   while (next_drive_failure_ <= clock_) {
-    const double repair = faults_->NextRepairTime();
-    ++fault_stats_.drive_failures;
-    fault_stats_.drive_repair_seconds += repair;
+    const double repair = life_.faults()->NextRepairTime();
+    ++life_.fault_stats().drive_failures;
+    life_.fault_stats().drive_repair_seconds += repair;
     const double end = clock_ + repair;
     DeliverArrivalsUpTo(end, jukebox_->head());
     clock_ = end;
-    accounting_.ChargeTo(0, obs::DriveActivity::kDown, clock_);
-    MaybeMarkWarmup();
-    next_drive_failure_ = clock_ + faults_->NextFailureGap();
+    life_.accounting().ChargeTo(0, obs::DriveActivity::kDown, clock_);
+    life_.MaybeMarkWarmup(clock_, jukebox_->counters());
+    next_drive_failure_ = clock_ + life_.faults()->NextFailureGap();
   }
 }
 
 void Simulator::DeliverArrivalsUpTo(double until, Position committed_head) {
   // Closed-model think-time expirations: the process issues its next
   // request when its think period ends.
-  while (auto expired = thinking_.PopUntil(until)) {
-    ProcessExpiriesUpTo(expired->first, committed_head);
-    if (faults_.has_value()) {
-      IssueClosedRequest(expired->first, committed_head);
-    } else {
-      const Request request = workload_.NextRequest(expired->first);
-      metrics_.OnArrival(expired->first);
-      if (recorder_.has_value()) {
-        recorder_->RequestArrived(request.id, request.block,
-                                  /*background=*/false, expired->first);
-      }
-      scheduler_->OnArrival(request, committed_head);
-      TrackDeadline(request);
-    }
+  while (auto woken = life_.thinking().PopUntil(until)) {
+    ProcessExpiriesUpTo(woken->first, committed_head);
+    Route(life_.IssueClosed(woken->first), committed_head);
   }
   if (trace_mode_) {
     while (trace_pos_ < trace_.size() &&
            trace_[trace_pos_].arrival_time <= until) {
       const Request& request = trace_[trace_pos_++];
       ProcessExpiriesUpTo(request.arrival_time, committed_head);
-      if (admission_.has_value() &&
-          !admission_->Admit(request.tenant, request.arrival_time,
-                             metrics_.outstanding_now())) {
-        metrics_.OnShed(request.arrival_time, request.tenant);
-        if (recorder_.has_value()) {
-          recorder_->RequestArrived(request.id, request.block,
-                                    /*background=*/false,
-                                    request.arrival_time);
-          recorder_->RequestDone(request.id, obs::RequestOutcome::kShed,
-                                 request.arrival_time);
-        }
-        continue;
-      }
-      metrics_.OnArrival(request.arrival_time);
-      if (recorder_.has_value()) {
-        recorder_->RequestArrived(request.id, request.block,
-                                  /*background=*/false,
-                                  request.arrival_time);
-      }
-      scheduler_->OnArrival(request, committed_head);
-      TrackDeadline(request);
+      Route(life_.Arrive(request), committed_head);
     }
     next_arrival_ = trace_pos_ < trace_.size()
                         ? trace_[trace_pos_].arrival_time
-                        : config_.duration_seconds + 1;
-    ProcessExpiriesUpTo(until, committed_head);
-    return;
-  }
-  if (config_.workload.model != QueuingModel::kOpen) {
-    ProcessExpiriesUpTo(until, committed_head);
-    return;
-  }
-  while (next_arrival_ <= until) {
-    ProcessExpiriesUpTo(next_arrival_, committed_head);
-    const Request request = workload_.NextRequest(next_arrival_);
-    if (admission_.has_value() &&
-        !admission_->Admit(request.tenant, next_arrival_,
-                           metrics_.outstanding_now())) {
-      metrics_.OnShed(next_arrival_, request.tenant);
-      if (recorder_.has_value()) {
-        recorder_->RequestArrived(request.id, request.block,
-                                  /*background=*/false, next_arrival_);
-        recorder_->RequestDone(request.id, obs::RequestOutcome::kShed,
-                               next_arrival_);
-      }
-    } else {
-      metrics_.OnArrival(next_arrival_);
-      DeliverOrFail(request, committed_head);
+                        : life_.config().duration_seconds + 1;
+  } else if (life_.config().workload.model == QueuingModel::kOpen) {
+    WorkloadGenerator& workload = life_.workload();
+    while (next_arrival_ <= until) {
+      ProcessExpiriesUpTo(next_arrival_, committed_head);
+      Route(life_.Arrive(workload.NextRequest(next_arrival_)),
+            committed_head);
+      next_arrival_ += workload.NextArrivalGap(next_arrival_);
     }
-    next_arrival_ += workload_.NextArrivalGap(next_arrival_);
   }
   ProcessExpiriesUpTo(until, committed_head);
-}
-
-void Simulator::TraceSweepContents(TapeId tape) {
-  if (!recorder_.has_value() || !recorder_->trace_enabled()) return;
-  const Sweep& sweep = scheduler_->sweep();
-  for (const ServiceEntry& entry : sweep.forward()) {
-    for (const Request& request : entry.requests) {
-      recorder_->RequestScheduled(request.id, tape, clock_);
-    }
-  }
-  for (const ServiceEntry& entry : sweep.reverse()) {
-    for (const Request& request : entry.requests) {
-      recorder_->RequestScheduled(request.id, tape, clock_);
-    }
-  }
-}
-
-void Simulator::SetupTimeline() {
-  if (!config_.timeline.enabled()) return;
-  timeline_.emplace(config_.timeline);
-  obs::StatRegistry* reg = timeline_->registry();
-  reg->AddGauge("queue_depth", [this] {
-    return static_cast<double>(scheduler_->pending_size());
-  });
-  reg->AddGauge("sweep_depth", [this] {
-    return static_cast<double>(scheduler_->sweep_size());
-  });
-  reg->AddGauge("shed_level", [this] {
-    return admission_.has_value() ? static_cast<double>(admission_->shed_level())
-                                  : 0.0;
-  });
-  reg->AddGauge("live_replica_fraction", [this] {
-    const int64_t total = catalog_->TotalCopies();
-    if (total <= 0) return 1.0;
-    return static_cast<double>(total - catalog_->dead_replicas()) /
-           static_cast<double>(total);
-  });
-  reg->AddGauge("repair_backlog", [this] {
-    return repair_.has_value()
-               ? static_cast<double>(repair_->outstanding_tasks())
-               : 0.0;
-  });
-  metrics_.AttachTimeline(reg);
-  for (int s = 0; s < obs::kNumDriveActivities; ++s) {
-    const std::string name =
-        std::string("state_") +
-        obs::DriveActivityName(static_cast<obs::DriveActivity>(s));
-    reg->AddAccum(name, [this, s] {
-      double total = 0;
-      for (const obs::DriveTimeInState& drive : accounting_.per_drive()) {
-        total += drive.seconds[static_cast<size_t>(s)];
-      }
-      return total;
-    });
-  }
-}
-
-void Simulator::MaybeMarkWarmup() {
-  if (!warmup_marked_ && clock_ >= config_.warmup_seconds) {
-    warmup_marked_ = true;
-    metrics_.MarkWarmupBoundary(jukebox_->counters());
-  }
 }
 
 SimulationResult Simulator::Run() {
   TJ_CHECK(!ran_) << "Simulator::Run may be called once";
   ran_ = true;
+  const SimulationConfig& config = life_.config();
+  obs::TimeInStateAccounting& accounting = life_.accounting();
+  EventQueue<char>& thinking = life_.thinking();
+  FaultModel* const faults = life_.faults();
+  FaultStats& fault_stats = life_.fault_stats();
+  obs::TraceRecorder* const recorder = life_.recorder();
+  const auto mark_warmup = [this] {
+    life_.MaybeMarkWarmup(clock_, jukebox_->counters());
+  };
 
-  const bool closed =
-      !trace_mode_ && config_.workload.model == QueuingModel::kClosed;
-  closed_ = closed;
+  const bool closed = life_.closed();
   if (trace_mode_) {
-    next_arrival_ = trace_.empty() ? config_.duration_seconds + 1
+    next_arrival_ = trace_.empty() ? config.duration_seconds + 1
                                    : trace_.front().arrival_time;
   } else if (closed) {
     // A fixed population of I/O-bound processes, all requesting at t = 0.
-    for (int64_t i = 0; i < config_.workload.queue_length; ++i) {
-      const Request request = workload_.NextRequest(0.0);
-      metrics_.OnArrival(0.0);
-      if (recorder_.has_value()) {
-        recorder_->RequestArrived(request.id, request.block,
-                                  /*background=*/false, 0.0);
-      }
-      scheduler_->OnArrival(request, jukebox_->head());
-      TrackDeadline(request);
+    for (int64_t i = 0; i < config.workload.queue_length; ++i) {
+      Route(life_.IssueClosed(0.0), jukebox_->head());
     }
   } else {
-    next_arrival_ = workload_.NextArrivalGap(0.0);
+    next_arrival_ = life_.workload().NextArrivalGap(0.0);
   }
-  MaybeMarkWarmup();
+  mark_warmup();
 
-  while (clock_ < config_.duration_seconds) {
+  while (clock_ < config.duration_seconds) {
     if (scheduler_->sweep_empty()) {
       if (!scheduler_->HasWork()) {
         // Step 4: the drive is idle. With repair enabled, background
@@ -489,50 +226,50 @@ SimulationResult Simulator::Run() {
         if (repair_.has_value()) {
           AdvancePastDriveRepairs();
           const double next_event =
-              closed ? (thinking_.empty()
+              closed ? (thinking.empty()
                             ? std::numeric_limits<double>::infinity()
-                            : thinking_.NextTime())
+                            : thinking.NextTime())
                      : next_arrival_;
           const double next_work = repair_->NextIdleWorkTime(clock_);
-          if (next_work <= clock_ && clock_ < config_.duration_seconds) {
+          if (next_work <= clock_ && clock_ < config.duration_seconds) {
             const RepairManager::Quantum quantum =
                 repair_->IdleQuantum(clock_);
             const double end = clock_ + quantum.seconds;
             DeliverArrivalsUpTo(end, jukebox_->head());
             clock_ = end;
-            accounting_.ChargeTo(0, obs::DriveActivity::kBackground, clock_);
-            MaybeMarkWarmup();
+            accounting.ChargeTo(0, obs::DriveActivity::kBackground, clock_);
+            mark_warmup();
             if (quantum.masked_replicas) EvictUnservable();
             continue;
           }
           if (next_work < next_event &&
-              next_work <= config_.duration_seconds) {
+              next_work <= config.duration_seconds) {
             // Background work is due before the next client event: wake
             // for it (e.g. a scrub pass or a refilled token bucket).
             clock_ = next_work;
-            accounting_.ChargeTo(0, obs::DriveActivity::kIdle, clock_);
+            accounting.ChargeTo(0, obs::DriveActivity::kIdle, clock_);
             DeliverArrivalsUpTo(clock_, jukebox_->head());
-            MaybeMarkWarmup();
+            mark_warmup();
             continue;
           }
         }
         // Wait for an arrival (or a thinking process to wake).
         if (closed) {
-          if (thinking_.empty() ||
-              thinking_.NextTime() > config_.duration_seconds) {
+          if (thinking.empty() ||
+              thinking.NextTime() > config.duration_seconds) {
             break;
           }
-          clock_ = thinking_.NextTime();
-          accounting_.ChargeTo(0, obs::DriveActivity::kIdle, clock_);
+          clock_ = thinking.NextTime();
+          accounting.ChargeTo(0, obs::DriveActivity::kIdle, clock_);
           DeliverArrivalsUpTo(clock_, jukebox_->head());
-          MaybeMarkWarmup();
+          mark_warmup();
           continue;
         }
-        if (next_arrival_ > config_.duration_seconds) break;
+        if (next_arrival_ > config.duration_seconds) break;
         clock_ = next_arrival_;
-        accounting_.ChargeTo(0, obs::DriveActivity::kIdle, clock_);
+        accounting.ChargeTo(0, obs::DriveActivity::kIdle, clock_);
         DeliverArrivalsUpTo(clock_, jukebox_->head());
-        MaybeMarkWarmup();
+        mark_warmup();
         continue;
       }
       // Step 1: major reschedule; step 2: switch if needed. A failed drive
@@ -546,25 +283,25 @@ SimulationResult Simulator::Run() {
           const double end = clock_ + flush;
           DeliverArrivalsUpTo(end, jukebox_->head());
           clock_ = end;
-          accounting_.ChargeTo(0, obs::DriveActivity::kBackground, clock_);
-          MaybeMarkWarmup();
+          accounting.ChargeTo(0, obs::DriveActivity::kBackground, clock_);
+          mark_warmup();
         }
       }
-      if (recorder_.has_value()) recorder_->SetNow(clock_);
+      if (recorder != nullptr) recorder->SetNow(clock_);
       const TapeId tape = scheduler_->MajorReschedule();
       TJ_CHECK_NE(tape, kInvalidTape)
           << "scheduler reported work but produced no schedule";
-      TraceSweepContents(tape);
+      life_.TraceSweepContents(scheduler_->sweep(), tape, clock_);
       SwitchBreakdown breakdown;
       double switch_seconds = jukebox_->SwitchTo(tape, &breakdown);
       double robot_seconds = breakdown.robot;
-      if (faults_.has_value() && switch_seconds > 0) {
+      if (faults != nullptr && switch_seconds > 0) {
         // Robot handoff faults: each slip repeats the robot move.
-        const int slips = faults_->NextRobotFaults();
+        const int slips = faults->NextRobotFaults();
         if (slips > 0) {
           const double extra = jukebox_->ChargeRobotRetries(slips);
-          fault_stats_.robot_faults += slips;
-          fault_stats_.robot_retry_seconds += extra;
+          fault_stats.robot_faults += slips;
+          fault_stats.robot_retry_seconds += extra;
           switch_seconds += extra;
           robot_seconds += extra;
         }
@@ -576,14 +313,14 @@ SimulationResult Simulator::Run() {
       // robot + retries, load); the final segment is charged to the
       // absolute end so the cursor tracks the clock exactly.
       double t = clock_ + breakdown.rewind;
-      accounting_.ChargeTo(0, obs::DriveActivity::kRewinding, t);
+      accounting.ChargeTo(0, obs::DriveActivity::kRewinding, t);
       t += breakdown.eject;
-      accounting_.ChargeTo(0, obs::DriveActivity::kSwitching, t);
+      accounting.ChargeTo(0, obs::DriveActivity::kSwitching, t);
       t += robot_seconds;
-      accounting_.ChargeTo(0, obs::DriveActivity::kRobot, t);
-      accounting_.ChargeTo(0, obs::DriveActivity::kSwitching, end);
+      accounting.ChargeTo(0, obs::DriveActivity::kRobot, t);
+      accounting.ChargeTo(0, obs::DriveActivity::kSwitching, end);
       clock_ = end;
-      MaybeMarkWarmup();
+      mark_warmup();
       continue;
     }
 
@@ -596,45 +333,45 @@ SimulationResult Simulator::Run() {
                                               &read_breakdown);
     // Locate/read segments of every attempt, in temporal order.
     double op_t = clock_ + read_breakdown.locate;
-    accounting_.ChargeTo(0, obs::DriveActivity::kLocating, op_t);
+    accounting.ChargeTo(0, obs::DriveActivity::kLocating, op_t);
     op_t += read_breakdown.read;
-    accounting_.ChargeTo(0, obs::DriveActivity::kReading, op_t);
+    accounting.ChargeTo(0, obs::DriveActivity::kReading, op_t);
     ReadOutcome outcome;
-    if (faults_.has_value()) {
-      outcome = faults_->NextReadOutcome();
+    if (faults != nullptr) {
+      outcome = faults->NextReadOutcome();
       // Each transient retry waits out its (jittered, exponentially
       // growing) backoff, then locates back to the block start and
       // re-reads. Backoff waits are charged as locating time.
       for (int r = 0; r < outcome.retries; ++r) {
-        const double backoff = faults_->NextRetryBackoff(r);
+        const double backoff = faults->NextRetryBackoff(r);
         if (backoff > 0) {
           op_seconds += backoff;
           op_t += backoff;
-          accounting_.ChargeTo(0, obs::DriveActivity::kLocating, op_t);
+          accounting.ChargeTo(0, obs::DriveActivity::kLocating, op_t);
         }
         op_seconds += jukebox_->ReadBlockAt(entry->position,
                                             &read_breakdown);
         op_t += read_breakdown.locate;
-        accounting_.ChargeTo(0, obs::DriveActivity::kLocating, op_t);
+        accounting.ChargeTo(0, obs::DriveActivity::kLocating, op_t);
         op_t += read_breakdown.read;
-        accounting_.ChargeTo(0, obs::DriveActivity::kReading, op_t);
+        accounting.ChargeTo(0, obs::DriveActivity::kReading, op_t);
       }
-      fault_stats_.transient_read_errors +=
+      fault_stats.transient_read_errors +=
           outcome.retries + (outcome.escalated ? 1 : 0);
-      fault_stats_.read_retries += outcome.retries;
-      if (outcome.escalated) ++fault_stats_.reads_escalated;
+      fault_stats.read_retries += outcome.retries;
+      if (outcome.escalated) ++fault_stats.reads_escalated;
     }
     const double end = clock_ + op_seconds;
     // Arrivals during the operation see the head the drive is committed to.
     DeliverArrivalsUpTo(end, jukebox_->head());
     // Absorb any accumulation drift between the per-segment charges and
     // op_seconds into the final reading segment.
-    accounting_.ChargeTo(0, obs::DriveActivity::kReading, end);
+    accounting.ChargeTo(0, obs::DriveActivity::kReading, end);
     clock_ = end;
-    MaybeMarkWarmup();
-    if (recorder_.has_value() && outcome.retries > 0) {
+    mark_warmup();
+    if (recorder != nullptr && outcome.retries > 0) {
       for (const Request& request : entry->requests) {
-        recorder_->RequestRetry(request.id, outcome.retries, clock_);
+        recorder->RequestRetry(request.id, outcome.retries, clock_);
       }
     }
 
@@ -649,83 +386,21 @@ SimulationResult Simulator::Run() {
       if (request.cls == RequestClass::kBackground) {
         // A repair source read finished: its payload is buffered. Not a
         // client completion — no metrics, no closed-model reissue.
-        if (recorder_.has_value()) {
-          recorder_->RequestDone(request.id,
-                                 obs::RequestOutcome::kCompleted, clock_);
+        if (recorder != nullptr) {
+          recorder->RequestDone(request.id, obs::RequestOutcome::kCompleted,
+                                clock_);
         }
         repair_->OnSourceReadComplete(request.block, clock_);
         continue;
       }
-      if (faults_.has_value() &&
-          catalog_->LiveReplicaCount(request.block) <
-              static_cast<int64_t>(
-                  catalog_->ReplicasOf(request.block).size())) {
-        ++fault_stats_.degraded_reads;
-      }
-      metrics_.OnCompletion(request.arrival_time, clock_, request.tenant);
-      if (admission_.has_value()) {
-        admission_->OnCompletion(request.tenant,
-                                 clock_ - request.arrival_time, clock_);
-      }
-      if (deadlines_possible_) deadline_live_.erase(request.id);
-      if (recorder_.has_value()) {
-        recorder_->RequestDone(request.id,
-                               obs::RequestOutcome::kCompleted, clock_);
-      }
-      if (closed) {
-        // The completing process issues its next request, immediately
-        // (the paper's I/O-bound processes) or after a think period.
-        if (config_.workload.think_time_seconds > 0) {
-          thinking_.Schedule(clock_ + workload_.NextThinkTime(), 0);
-        } else if (faults_.has_value()) {
-          IssueClosedRequest(clock_, jukebox_->head());
-        } else {
-          const Request next = workload_.NextRequest(clock_);
-          metrics_.OnArrival(clock_);
-          if (recorder_.has_value()) {
-            recorder_->RequestArrived(next.id, next.block,
-                                      /*background=*/false, clock_);
-          }
-          scheduler_->OnArrival(next, jukebox_->head());
-          TrackDeadline(next);
-        }
-      }
+      Route(life_.Complete(request, clock_), jukebox_->head());
     }
   }
-  MaybeMarkWarmup();
-  accounting_.FinishAt(clock_);
-  SimulationResult result =
-      metrics_.Finalize(clock_, jukebox_->counters(), &accounting_);
-  if (faults_.has_value()) {
-    result.fault_injection = true;
-    result.faults = fault_stats_;
-    const int64_t total = catalog_->TotalCopies();
-    if (total > 0) {
-      result.live_replica_fraction =
-          static_cast<double>(total - catalog_->dead_replicas()) /
-          static_cast<double>(total);
-    }
-  }
+  mark_warmup();
+  SimulationResult result = life_.Finish(clock_, jukebox_->counters());
   if (repair_.has_value()) {
     result.repair_enabled = true;
     result.repair = repair_->Finalize();
-  }
-  if (timeline_.has_value()) {
-    // After accounting_.FinishAt so the final row's time-in-state deltas
-    // cover the whole run. Timeline output must never fail the run.
-    const Status timeline_status = timeline_->FinishAt(clock_);
-    if (!timeline_status.ok()) {
-      std::cerr << "warning: timeline output failed: "
-                << timeline_status.ToString() << '\n';
-    }
-  }
-  if (recorder_.has_value()) {
-    const Status obs_status = recorder_->Finalize(clock_);
-    if (!obs_status.ok()) {
-      // Trace output must never fail the run itself.
-      std::cerr << "warning: observability output failed: "
-                << obs_status.ToString() << '\n';
-    }
   }
   return result;
 }

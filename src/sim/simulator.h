@@ -14,61 +14,27 @@
 // at their exact timestamps with the *committed head* — the head position
 // the drive will have when the in-flight operation completes — so the
 // incremental scheduler can only insert work that is still genuinely ahead.
+//
+// The engine-independent half of each request's life (arrival accounting,
+// settlement, closed-model reissue, fault bookkeeping, telemetry setup and
+// finalisation) lives in RequestLifecycle, shared with MultiDriveSimulator.
+// This class keeps the drive mechanics, the run loop, routing through the
+// Scheduler, trace replay and scrub/repair.
 
 #ifndef TAPEJUKE_SIM_SIMULATOR_H_
 #define TAPEJUKE_SIM_SIMULATOR_H_
 
 #include <optional>
+#include <vector>
 
 #include "layout/catalog.h"
-#include "obs/recorder.h"
-#include "obs/time_in_state.h"
 #include "sched/scheduler.h"
-#include "sim/admission.h"
-#include "sim/event_queue.h"
-#include "sim/fault_model.h"
 #include "sim/metrics.h"
 #include "sim/repair.h"
-#include "sim/workload.h"
+#include "sim/request_lifecycle.h"
 #include "tape/jukebox.h"
-#include "util/flat_hash.h"
-#include "util/status.h"
 
 namespace tapejuke {
-
-/// Run-level simulation parameters.
-struct SimulationConfig {
-  /// Simulated wall-clock length of the run, seconds. (The paper uses 10M
-  /// seconds; 2M gives the same curve shapes with tight enough confidence.)
-  double duration_seconds = 2'000'000;
-  /// Leading window excluded from all statistics.
-  double warmup_seconds = 100'000;
-  WorkloadConfig workload;
-  /// Fault injection (all rates zero by default: nothing is injected and
-  /// the run is bit-identical to a fault-free build). Enabling any rate
-  /// requires constructing the Simulator with a mutable Catalog.
-  FaultConfig faults;
-  /// Background scrub and repair (disabled by default). Requires fault
-  /// injection — without faults there is nothing to scrub for or repair.
-  RepairConfig repair;
-  /// Admission control / load shedding (disabled by default: every arrival
-  /// is admitted and output is byte-identical to a build without the
-  /// overload subsystem). Open model only.
-  AdmissionConfig admission;
-  /// Observability (disabled by default; never serialized into results
-  /// JSON). When enabled the simulator owns a TraceRecorder, feeds it
-  /// drive state slices / request lifecycles / scheduler decisions, and
-  /// writes the configured files at the end of Run.
-  obs::TraceConfig obs;
-  /// Time-series telemetry (disabled by default; never serialized into
-  /// results JSON). When enabled the simulator owns a TimelineSampler,
-  /// samples every registered stat on a fixed simulated-time cadence, and
-  /// writes one JSONL timeline at the end of Run. Results JSON stays
-  /// byte-identical with the timeline on or off.
-  obs::TimelineConfig timeline;
-
-  Status Validate() const;
-};
 
 /// Single-jukebox, single-drive discrete-event simulator.
 class Simulator {
@@ -97,56 +63,36 @@ class Simulator {
 
   /// Raw metrics collector, for callers that aggregate several runs into
   /// one result (the farm merges per-box collectors). Valid after Run.
-  const MetricsCollector& metrics() const { return metrics_; }
+  const MetricsCollector& metrics() const { return life_.metrics(); }
 
   /// Buffered timeline rows/summary, for callers that merge per-box
   /// timelines (the farm). Null unless config.timeline is enabled; valid
   /// after Run.
-  const obs::TimelineSampler* timeline() const {
-    return timeline_.has_value() ? &*timeline_ : nullptr;
-  }
+  const obs::TimelineSampler* timeline() const { return life_.timeline(); }
 
  private:
-  /// Delivers every open-model arrival with timestamp <= `until` to the
-  /// incremental scheduler, interleaved in time order with deadline-expiry
-  /// events so the outstanding-population integral stays exact.
+  /// The shared body of the public constructors. `mutable_catalog` is
+  /// `catalog` or null; `trace` is engaged for trace replay.
+  Simulator(Jukebox* jukebox, const Catalog* catalog,
+            Catalog* mutable_catalog, Scheduler* scheduler,
+            const SimulationConfig& config,
+            std::optional<std::vector<Request>> trace);
+
+  /// Hands a request the lifecycle admitted or reissued to the scheduler.
+  void Route(const std::optional<Request>& request, Position committed_head);
+
+  /// Delivers every arrival with timestamp <= `until` to the incremental
+  /// scheduler, interleaved in time order with deadline-expiry events so
+  /// the outstanding-population integral stays exact.
   void DeliverArrivalsUpTo(double until, Position committed_head);
 
   /// Pops every expiry event with timestamp <= `until` and evicts the
-  /// queued requests whose deadline has passed. No-op (and no queue
-  /// lookups) when no request can carry a deadline.
+  /// queued requests whose deadline has passed.
   void ProcessExpiriesUpTo(double until, Position committed_head);
 
-  /// Completes `request` as expired at `now` and, in the closed model,
-  /// lets the issuing process continue like any other settled request.
-  void ExpireRequest(const Request& request, double now,
-                     Position committed_head);
-
-  /// Registers `request`'s deadline with the expiry queue (no-op when it
-  /// has none).
-  void TrackDeadline(const Request& request);
-
-  /// Marks the metrics warm-up boundary the first time the clock passes it.
-  void MaybeMarkWarmup();
-
-  /// Delivers `request` (arrival already counted by the caller) to the
-  /// scheduler, or fails it immediately when every replica of its block is
-  /// dead. Returns true if the request entered the scheduler.
-  bool DeliverOrFail(const Request& request, Position committed_head);
-
-  /// Closed model: a process issues its next request at `now`, redrawing
-  /// past blocks whose every replica is dead (each dead draw is counted as
-  /// issued + failed, so conservation holds). Stops issuing when the whole
-  /// archive is lost.
-  void IssueClosedRequest(double now, Position committed_head);
-
-  /// Completes `request` with an error (every replica of its block is
-  /// dead) and, in the closed model, lets the issuing process continue.
-  void FailRequest(const Request& request);
-
   /// Re-enqueues a request displaced by a fault onto a surviving replica,
-  /// or fails it when none is left. Background requests route back to the
-  /// repair manager instead.
+  /// or settles it. Background requests route back to the repair manager
+  /// instead.
   void Requeue(const Request& request);
 
   /// Evicts now-unservable queued requests: client requests fail, repair
@@ -162,64 +108,23 @@ class Simulator {
   /// (arrivals are still delivered). Called before the drive starts work.
   void AdvancePastDriveRepairs();
 
-  /// Emits a "scheduled" trace instant for every request in the active
-  /// sweep (called right after a major reschedule); no-op unless tracing.
-  void TraceSweepContents(TapeId tape);
-
-  /// Engages the timeline sampler and registers every probe (scheduler
-  /// depths, admission state, repair backlog, replica health, metrics
-  /// counters/windows, time-in-state accums). Must run last in every
-  /// constructor, after the optional subsystems are engaged.
-  void SetupTimeline();
-
   Jukebox* jukebox_;
-  const Catalog* catalog_;
-  /// Non-null only via the mutable-catalog constructor; required (and
-  /// used) only when fault injection is enabled.
-  Catalog* mutable_catalog_ = nullptr;
   Scheduler* scheduler_;
-  SimulationConfig config_;
-  WorkloadGenerator workload_;
-  MetricsCollector metrics_;
-  /// Always-on per-drive activity accounting (a few double adds per clock
-  /// advance); feeds SimulationResult::time_in_state/drive_utilization.
-  obs::TimeInStateAccounting accounting_;
-  /// Engaged iff config_.obs.enabled().
-  std::optional<obs::TraceRecorder> recorder_;
-  /// Engaged iff config_.timeline.enabled(); probes registered by
-  /// SetupTimeline at the end of construction.
-  std::optional<obs::TimelineSampler> timeline_;
-
-  /// Engaged iff config_.faults.enabled().
-  std::optional<FaultModel> faults_;
-  FaultStats fault_stats_;
-  /// Engaged iff config_.repair.enabled() (which implies faults_).
+  /// The shared request lifecycle: metrics, recorder, timeline, faults,
+  /// admission, deadlines and the closed model's processes.
+  RequestLifecycle life_;
+  /// Engaged iff the config enables repair (which implies fault injection).
   std::optional<RepairManager> repair_;
   double next_drive_failure_ = 0;  ///< absolute time; only with MTBF > 0
   bool drive_faults_ = false;
-  bool closed_ = false;
 
   double clock_ = 0;
-  double next_arrival_ = 0;  ///< open model only
-  bool warmup_marked_ = false;
+  double next_arrival_ = 0;  ///< open model and trace replay
   bool ran_ = false;
 
   bool trace_mode_ = false;
   std::vector<Request> trace_;
   size_t trace_pos_ = 0;
-
-  /// Closed model with think time: pending regeneration instants.
-  EventQueue<char> thinking_;
-
-  /// Overload protection. admission_ is engaged iff
-  /// config_.admission.enabled(). Expiry events carry the request id;
-  /// deadline_live_ filters events whose request already settled (the
-  /// calendar queue has no random deletion). deadlines_possible_ gates the
-  /// whole machinery so deadline-free runs make no extra queue operations.
-  std::optional<AdmissionController> admission_;
-  EventQueue<RequestId> expiries_;
-  FlatSet<RequestId> deadline_live_;
-  bool deadlines_possible_ = false;
 };
 
 }  // namespace tapejuke

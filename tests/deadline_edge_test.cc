@@ -1,7 +1,7 @@
 // Deadline edge cases: expiry landing exactly on the warm-up boundary
 // (metrics window clipping), expiry of a request still staged in the
-// scheduler's arrival batch, and expiry racing a failover re-enqueue —
-// the latter two under the ValidatingScheduler with validate_envelope, so
+// scheduler's arrival batch, and expiry racing a failover re-enqueue on
+// both engines — the single-drive cases under the ValidatingScheduler, so
 // any contract violation aborts the test.
 
 #include <gtest/gtest.h>
@@ -11,6 +11,7 @@
 #include "core/experiment.h"
 #include "sched/validating_scheduler.h"
 #include "sim/metrics.h"
+#include "sim/multi_drive.h"
 #include "sim/simulator.h"
 
 namespace tapejuke {
@@ -95,7 +96,11 @@ TEST(DeadlineEdge, StagedArrivalBatchRequestsExpire) {
                 scheduler.outstanding());
 }
 
-TEST(DeadlineEdge, ExpiryRacesFailoverReenqueue) {
+enum class Engine { kSingleDrive, kMultiDrive };
+
+class DeadlineEngineEdge : public ::testing::TestWithParam<Engine> {};
+
+TEST_P(DeadlineEngineEdge, ExpiryRacesFailoverReenqueue) {
   JukeboxConfig jukebox_config;
   jukebox_config.num_tapes = 10;
   jukebox_config.block_size_mb = 16;
@@ -105,13 +110,9 @@ TEST(DeadlineEdge, ExpiryRacesFailoverReenqueue) {
   layout.start_position = 1.0;
   Catalog catalog = LayoutBuilder::Build(&jukebox, layout).value();
 
-  AlgorithmSpec spec = AlgorithmSpec::Parse("dynamic-max-bandwidth").value();
-  ValidatingScheduler scheduler(CreateScheduler(spec, &jukebox, &catalog),
-                                &jukebox, &catalog);
-
   // Heavy fault mix on top of the deadline workload: failovers re-enqueue
   // requests whose deadline may already have passed, and whole-tape loss
-  // can drain sweeps holding past-deadline requests. The simulator must
+  // can drain sweeps holding past-deadline requests. The engine must
   // settle those as expired, never serve them, and keep conservation.
   SimulationConfig sim = DeadlineSim(29);
   sim.faults.permanent_media_error_prob = 2e-3;
@@ -120,8 +121,18 @@ TEST(DeadlineEdge, ExpiryRacesFailoverReenqueue) {
   sim.faults.retry_backoff_base_seconds = 2.0;
   sim.faults.retry_backoff_max_seconds = 60.0;
 
-  Simulator simulator(&jukebox, &catalog, &scheduler, sim);
-  const SimulationResult result = simulator.Run();
+  SimulationResult result;
+  if (GetParam() == Engine::kSingleDrive) {
+    AlgorithmSpec spec =
+        AlgorithmSpec::Parse("dynamic-max-bandwidth").value();
+    ValidatingScheduler scheduler(CreateScheduler(spec, &jukebox, &catalog),
+                                  &jukebox, &catalog);
+    result = Simulator(&jukebox, &catalog, &scheduler, sim).Run();
+  } else {
+    MultiDriveConfig drives;
+    drives.num_drives = 2;
+    result = MultiDriveSimulator(&jukebox, &catalog, drives, sim).Run();
+  }
 
   ASSERT_TRUE(result.fault_injection);
   ASSERT_TRUE(result.overload_enabled);
@@ -133,6 +144,14 @@ TEST(DeadlineEdge, ExpiryRacesFailoverReenqueue) {
                 result.outstanding_at_end,
             result.issued_requests);
 }
+
+INSTANTIATE_TEST_SUITE_P(
+    BothEngines, DeadlineEngineEdge,
+    ::testing::Values(Engine::kSingleDrive, Engine::kMultiDrive),
+    [](const ::testing::TestParamInfo<Engine>& info) {
+      return info.param == Engine::kSingleDrive ? "SingleDrive"
+                                                : "MultiDrive";
+    });
 
 }  // namespace
 }  // namespace tapejuke

@@ -45,6 +45,31 @@ TEST(MultiDriveConfigFor, MapsGreedyFamiliesAndRejectsTheRest) {
   }
 }
 
+// Inputs only the single-drive engine honours fail loudly on the
+// multi-drive engine through one check, instead of being ignored.
+TEST(MultiDriveConfig, ValidateRejectsSingleDriveOnlyInputs) {
+  const MultiDriveConfig drives =
+      MultiDriveConfigFor(
+          AlgorithmSpec::Parse("dynamic-max-bandwidth").value(), 2)
+          .value();
+  const SimulationConfig plain;
+  EXPECT_TRUE(drives.Validate(plain).ok());
+
+  SimulationConfig think = plain;
+  think.workload.think_time_seconds = 5000;
+  const Status think_status = drives.Validate(think);
+  EXPECT_EQ(think_status.code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(think_status.message().find("think time"), std::string::npos);
+
+  SimulationConfig repair = plain;
+  repair.faults.permanent_media_error_prob = 1e-3;
+  repair.repair.enable_repair = true;
+  repair.repair.scrub_interval_seconds = 1000;
+  const Status repair_status = drives.Validate(repair);
+  EXPECT_EQ(repair_status.code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(repair_status.message().find("single-drive"), std::string::npos);
+}
+
 TEST(AlgorithmSpec, ParseRoundTrips) {
   const struct {
     const char* input;

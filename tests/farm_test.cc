@@ -44,6 +44,16 @@ TEST(FarmConfig, Validation) {
   EXPECT_FALSE(sparse.Validate().ok());
 }
 
+TEST(FarmConfig, MultiDriveBoxesRejectThinkTime) {
+  FarmConfig config = BaseFarm(2, 60);
+  config.per_jukebox.sim.workload.think_time_seconds = 5000;
+  EXPECT_TRUE(config.Validate().ok());
+  config.drives_per_jukebox = 2;
+  const Status status = config.Validate();
+  EXPECT_EQ(status.code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(status.message().find("think time"), std::string::npos);
+}
+
 TEST(Farm, SingleBoxMatchesPlainSimulator) {
   FarmConfig config = BaseFarm(1, 60);
   const FarmResult farm = FarmSimulator(config).Run();

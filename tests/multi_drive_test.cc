@@ -6,6 +6,7 @@
 
 #include "layout/placement.h"
 #include "sched/greedy_scheduler.h"
+#include "sim/simulator.h"
 
 namespace tapejuke {
 namespace {
@@ -48,9 +49,9 @@ SimulationResult RunMulti(int32_t num_drives, int64_t queue = 60,
 
 TEST(MultiDriveConfig, Validation) {
   MultiDriveConfig config;
-  EXPECT_TRUE(config.Validate().ok());
+  EXPECT_TRUE(config.Validate(SimulationConfig{}).ok());
   config.num_drives = 0;
-  EXPECT_FALSE(config.Validate().ok());
+  EXPECT_FALSE(config.Validate(SimulationConfig{}).ok());
 }
 
 TEST(MultiDrive, SingleDriveMatchesSingleDriveSimulatorClosely) {
@@ -147,6 +148,15 @@ TEST(MultiDriveDeathTest, MoreDrivesThanTapesAborts) {
   EXPECT_DEATH(MultiDriveSimulator(&rig.jukebox, &rig.catalog, drives,
                                    ShortSim()),
                "more drives than tapes");
+}
+
+TEST(MultiDriveDeathTest, ThinkTimeAborts) {
+  Rig rig;
+  SimulationConfig sim = ShortSim();
+  sim.workload.think_time_seconds = 5000;
+  EXPECT_DEATH(MultiDriveSimulator(&rig.jukebox, &rig.catalog,
+                                   MultiDriveConfig{}, sim),
+               "think time");
 }
 
 }  // namespace
