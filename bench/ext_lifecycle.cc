@@ -28,15 +28,35 @@ int Main(int argc, char** argv) {
                      &exit_code)) {
     return exit_code;
   }
+  const ExperimentConfig base = PaperBaseConfig(options);
+  SimulationConfig sim_base = base.sim;
+  sim_base.warmup_seconds = 0;  // epochs cover the whole run
+  sim_base.workload.queue_length = 60;
+  sim_base.fill.num_epochs = 10;
+  // Shared flags the fill cannot honour (--fault-*, --repair) are a usage
+  // error.
+  const Status valid = sim_base.Validate();
+  if (!valid.ok()) {
+    std::cerr << valid << "\n";
+    return 2;
+  }
   BenchContext ctx("ext_lifecycle", options);
-  ExperimentConfig base = PaperBaseConfig(options);
   std::cout << "Lifecycle extension | PH-10 RH-40 | vertical spare-capacity "
                "start | max-bandwidth envelope | queue 60\n";
 
-  // Point 0: baseline (spare capacity left empty). Point 1: gradual fill.
-  std::vector<PointOutput> outputs(2);
+  // Point 0: baseline (fill budget 0: spare capacity left empty). Point 1:
+  // gradual fill.
+  std::vector<SimulationConfig> configs(2, sim_base);
+  for (size_t i = 0; i < configs.size(); ++i) {
+    configs[i].workload.seed = ctx.PointSeed(i);
+    configs[i].fill.fill_budget_seconds = i == 1 ? 240.0 : 0.0;
+    if (i == static_cast<size_t>(options.trace_point)) {
+      configs[i].obs = options.Trace();
+      configs[i].timeline = options.Timeline();
+    }
+  }
+  std::vector<PointOutput> outputs(configs.size());
   ctx.RunParallel(outputs.size(), [&](size_t i) -> Status {
-    const bool fill = i == 1;
     Jukebox jukebox(base.jukebox);
     LayoutSpec replicated;
     replicated.layout = HotLayout::kVertical;
@@ -51,19 +71,11 @@ int Main(int argc, char** argv) {
     Catalog catalog = std::move(catalog_or).value();
     EnvelopeScheduler scheduler(&jukebox, &catalog,
                                 TapePolicy::kMaxBandwidth);
-    SimulationConfig sim_config = base.sim;
-    sim_config.warmup_seconds = 0;  // epochs cover the whole run
-    sim_config.workload.queue_length = 60;
-    sim_config.workload.seed = ctx.PointSeed(i);
-    LifecycleConfig lifecycle;
-    lifecycle.fill_budget_seconds = fill ? 240.0 : 0.0;
-    lifecycle.fill_on_idle = fill;
-    lifecycle.num_epochs = 10;
-    LifecycleSimulator sim(&jukebox, &catalog, &scheduler, sim_config,
-                           lifecycle);
-    outputs[i].epochs = sim.Run();
-    outputs[i].replicas_written = sim.replicas_written();
-    outputs[i].fill_target = sim.fill_target();
+    Simulator sim(&jukebox, &catalog, &scheduler, configs[i]);
+    sim.Run();
+    outputs[i].epochs = sim.fill()->epochs();
+    outputs[i].replicas_written = sim.fill()->replicas_written();
+    outputs[i].fill_target = sim.fill()->fill_target();
     return Status::Ok();
   });
 

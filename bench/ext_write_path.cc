@@ -63,21 +63,22 @@ int Main(int argc, char** argv) {
     StatusOr<Catalog> catalog_or =
         LayoutBuilder::Build(&jukebox, base.layout);
     if (!catalog_or.ok()) return catalog_or.status();
-    const Catalog catalog = std::move(catalog_or).value();
+    Catalog catalog = std::move(catalog_or).value();
     GreedyScheduler scheduler(&jukebox, &catalog, TapePolicy::kMaxBandwidth,
                               /*dynamic=*/true);
     SimulationConfig sim_config = base.sim;
     sim_config.workload.queue_length = 60;
     sim_config.workload.seed = ctx.PointSeed(i);
-    WritePathConfig writes;
-    writes.mean_write_interarrival_seconds = spec.gap;
-    writes.piggyback = spec.policy.piggyback;
-    writes.idle_flush = spec.policy.piggyback;
-    writes.piggyback_min_blocks = spec.policy.min_blocks;
-    WritebackSimulator sim(&jukebox, &catalog, &scheduler, sim_config,
-                           writes);
+    sim_config.writes.mean_write_interarrival_seconds = spec.gap;
+    sim_config.writes.piggyback = spec.policy.piggyback;
+    sim_config.writes.piggyback_min_blocks = spec.policy.min_blocks;
+    if (i == static_cast<size_t>(options.trace_point)) {
+      sim_config.obs = options.Trace();
+      sim_config.timeline = options.Timeline();
+    }
+    Simulator sim(&jukebox, &catalog, &scheduler, sim_config);
     outputs[i].result = sim.Run();
-    outputs[i].stats = sim.stats();
+    if (sim.writes() != nullptr) outputs[i].stats = sim.writes()->stats();
     return Status::Ok();
   });
 

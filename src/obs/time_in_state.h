@@ -37,7 +37,7 @@ enum class DriveActivity : int {
   kLocating,    ///< seeking to a block position on the mounted tape
   kReading,     ///< transferring data (client or repair source reads)
   kRewinding,   ///< rewinding before eject
-  kBackground,  ///< scrub passes and repair writes (background class)
+  kBackground,  ///< scrub/repair, write-path flushes and replica fill
   kDown,        ///< drive failed, waiting out the repair interval
 };
 

@@ -1,7 +1,5 @@
 #include "sim/lifecycle.h"
 
-#include <algorithm>
-
 #include "util/check.h"
 
 namespace tapejuke {
@@ -13,29 +11,25 @@ Status LifecycleConfig::Validate() const {
   if (target_copies < 1) {
     return Status::InvalidArgument("target_copies must be >= 1");
   }
-  if (num_epochs < 1) {
-    return Status::InvalidArgument("need at least one epoch");
+  if (num_epochs < 0) {
+    return Status::InvalidArgument("num_epochs must be >= 0");
   }
   return Status::Ok();
 }
 
-LifecycleSimulator::LifecycleSimulator(Jukebox* jukebox, Catalog* catalog,
-                                       Scheduler* scheduler,
-                                       const SimulationConfig& sim,
-                                       const LifecycleConfig& lifecycle)
-    : jukebox_(jukebox),
+ReplicaFill::ReplicaFill(const LifecycleConfig& config,
+                         double duration_seconds, Jukebox* jukebox,
+                         Catalog* catalog)
+    : config_(config),
+      jukebox_(jukebox),
       catalog_(catalog),
-      scheduler_(scheduler),
-      sim_config_(sim),
-      lifecycle_(lifecycle),
-      workload_(catalog, sim.workload) {
-  Status status = sim.Validate();
-  TJ_CHECK(status.ok()) << status.ToString();
-  status = lifecycle.Validate();
-  TJ_CHECK(status.ok()) << status.ToString();
-  TJ_CHECK(!sim.faults.enabled())
-      << "fault injection is not supported by the lifecycle simulator";
-  TJ_CHECK_LE(lifecycle.target_copies, jukebox->num_tapes());
+      epoch_len_(duration_seconds / config.num_epochs),
+      accums_(static_cast<size_t>(config.num_epochs)),
+      fill_at_epoch_end_(static_cast<size_t>(config.num_epochs), 0) {
+  TJ_CHECK(config.enabled());
+  TJ_CHECK(catalog != nullptr)
+      << "replica fill requires the mutable-catalog constructor";
+  TJ_CHECK_LE(config.target_copies, jukebox->num_tapes());
 
   const int32_t num_tapes = jukebox->num_tapes();
   free_slots_.resize(static_cast<size_t>(num_tapes));
@@ -53,11 +47,11 @@ LifecycleSimulator::LifecycleSimulator(Jukebox* jukebox, Catalog* catalog,
   // what distinct tapes allow).
   for (BlockId b = 0; b < catalog->num_hot_blocks(); ++b) {
     const auto have = static_cast<int64_t>(catalog->ReplicasOf(b).size());
-    fill_target_ += std::max<int64_t>(0, lifecycle.target_copies - have);
+    fill_target_ += std::max<int64_t>(0, config.target_copies - have);
   }
 }
 
-TapeId LifecycleSimulator::NeediestTape() const {
+TapeId ReplicaFill::NeediestTape() const {
   TapeId best = kInvalidTape;
   int64_t best_need = 0;
   for (TapeId t = 0; t < jukebox_->num_tapes(); ++t) {
@@ -67,7 +61,7 @@ TapeId LifecycleSimulator::NeediestTape() const {
     int64_t missing = 0;
     for (BlockId b = 0; b < catalog_->num_hot_blocks(); ++b) {
       if (static_cast<int32_t>(catalog_->ReplicasOf(b).size()) >=
-          lifecycle_.target_copies) {
+          config_.target_copies) {
         continue;
       }
       if (catalog_->ReplicaOn(b, t) == nullptr) ++missing;
@@ -83,25 +77,24 @@ TapeId LifecycleSimulator::NeediestTape() const {
   return best;
 }
 
-double LifecycleSimulator::FillMountedTape(double budget_seconds) {
+double ReplicaFill::FillMountedTape(double now) {
   const TapeId tape_id = jukebox_->mounted_tape();
-  if (tape_id == kInvalidTape) return 0;
+  const int64_t hot = catalog_->num_hot_blocks();
+  if (tape_id == kInvalidTape || hot == 0) return 0;
   auto& free = free_slots_[static_cast<size_t>(tape_id)];
   BlockId& cursor = next_hot_[static_cast<size_t>(tape_id)];
-  const int64_t hot = catalog_->num_hot_blocks();
-  if (hot == 0) return 0;
 
   double elapsed = 0;
   Drive& drive = jukebox_->drive();
   Tape& tape = jukebox_->tape(tape_id);
-  while (!free.empty() && elapsed < budget_seconds) {
+  while (!free.empty() && elapsed < config_.fill_budget_seconds) {
     // Next hot block that still wants a copy and lacks one on this tape.
     BlockId chosen = kInvalidBlock;
     for (int64_t scanned = 0; scanned < hot; ++scanned) {
       const BlockId candidate = cursor;
       cursor = (cursor + 1) % hot;
       if (static_cast<int32_t>(catalog_->ReplicasOf(candidate).size()) >=
-          lifecycle_.target_copies) {
+          config_.target_copies) {
         continue;
       }
       if (catalog_->ReplicaOn(candidate, tape_id) == nullptr) {
@@ -123,122 +116,38 @@ double LifecycleSimulator::FillMountedTape(double budget_seconds) {
     catalog_->AddReplica(chosen, Replica{tape_id, slot, position});
     ++replicas_written_;
   }
+  NoteFill(now + elapsed);
   return elapsed;
 }
 
-std::vector<EpochStats> LifecycleSimulator::Run() {
-  TJ_CHECK(!ran_) << "Run may be called once";
-  ran_ = true;
-  const bool closed = sim_config_.workload.model == QueuingModel::kClosed;
-  const double epoch_len =
-      sim_config_.duration_seconds / lifecycle_.num_epochs;
-
-  struct Accum {
-    int64_t completed = 0;
-    double delay_sum = 0;
-  };
-  std::vector<Accum> accums(static_cast<size_t>(lifecycle_.num_epochs));
-  auto record = [&](double arrival, double completion) {
-    auto epoch = static_cast<size_t>(completion / epoch_len);
-    epoch = std::min(epoch, accums.size() - 1);
-    ++accums[epoch].completed;
-    accums[epoch].delay_sum += completion - arrival;
-  };
-  std::vector<double> fill_at_epoch_end(
-      static_cast<size_t>(lifecycle_.num_epochs), 0);
-  auto note_fill = [&]() {
-    auto epoch = std::min(static_cast<size_t>(clock_ / epoch_len),
-                          fill_at_epoch_end.size() - 1);
-    const double fraction =
-        fill_target_ > 0 ? static_cast<double>(replicas_written_) /
-                               static_cast<double>(fill_target_)
-                         : 1.0;
-    for (size_t e = epoch; e < fill_at_epoch_end.size(); ++e) {
-      fill_at_epoch_end[e] = fraction;
-    }
-  };
-
-  if (closed) {
-    for (int64_t i = 0; i < sim_config_.workload.queue_length; ++i) {
-      scheduler_->OnArrival(workload_.NextRequest(0.0), jukebox_->head());
-    }
-  } else {
-    next_arrival_ = workload_.NextInterarrival();
+void ReplicaFill::NoteFill(double now) {
+  const double fraction =
+      fill_target_ > 0 ? static_cast<double>(replicas_written_) /
+                             static_cast<double>(fill_target_)
+                       : 1.0;
+  for (size_t e = EpochOf(now); e < fill_at_epoch_end_.size(); ++e) {
+    fill_at_epoch_end_[e] = fraction;
   }
+}
 
-  auto deliver = [&](double until, Position committed_head) {
-    if (closed) return;
-    while (next_arrival_ <= until) {
-      scheduler_->OnArrival(workload_.NextRequest(next_arrival_),
-                            committed_head);
-      next_arrival_ += workload_.NextInterarrival();
-    }
-  };
-
-  while (clock_ < sim_config_.duration_seconds) {
-    if (scheduler_->sweep_empty()) {
-      if (!scheduler_->HasWork()) {
-        if (lifecycle_.fill_on_idle && replicas_written_ < fill_target_) {
-          TapeId tape = NeediestTape();
-          if (tape != kInvalidTape) {
-            clock_ += jukebox_->SwitchTo(tape);
-            clock_ += FillMountedTape(lifecycle_.fill_budget_seconds);
-            note_fill();
-            continue;
-          }
-        }
-        if (closed || next_arrival_ > sim_config_.duration_seconds) break;
-        clock_ = next_arrival_;
-        deliver(clock_, jukebox_->head());
-        continue;
-      }
-      const TapeId tape = scheduler_->MajorReschedule();
-      TJ_CHECK_NE(tape, kInvalidTape);
-      const double switch_seconds = jukebox_->SwitchTo(tape);
-      const double end = clock_ + switch_seconds;
-      deliver(end, jukebox_->head());
-      clock_ = end;
-      continue;
-    }
-
-    const std::optional<ServiceEntry> entry = scheduler_->PopNext();
-    const double op_seconds = jukebox_->ReadBlockAt(entry->position);
-    const double end = clock_ + op_seconds;
-    deliver(end, jukebox_->head());
-    clock_ = end;
-    for (const Request& request : entry->requests) {
-      record(request.arrival_time, clock_);
-      if (closed) {
-        scheduler_->OnArrival(workload_.NextRequest(clock_),
-                              jukebox_->head());
-      }
-    }
-
-    // Piggyback fill: the sweep drained and the drive is already here.
-    if (scheduler_->sweep_empty() && replicas_written_ < fill_target_) {
-      clock_ += FillMountedTape(lifecycle_.fill_budget_seconds);
-      note_fill();
-    }
-  }
-  note_fill();
-
-  std::vector<EpochStats> epochs;
-  for (size_t e = 0; e < accums.size(); ++e) {
+void ReplicaFill::FinishAt(double end) {
+  NoteFill(end);
+  epochs_.clear();
+  for (size_t e = 0; e < accums_.size(); ++e) {
     EpochStats stats;
-    stats.start_seconds = static_cast<double>(e) * epoch_len;
-    stats.end_seconds = stats.start_seconds + epoch_len;
-    stats.completed_requests = accums[e].completed;
+    stats.start_seconds = static_cast<double>(e) * epoch_len_;
+    stats.end_seconds = stats.start_seconds + epoch_len_;
+    stats.completed_requests = accums_[e].completed;
     stats.requests_per_minute =
-        static_cast<double>(accums[e].completed) / (epoch_len / 60.0);
+        static_cast<double>(accums_[e].completed) / (epoch_len_ / 60.0);
     stats.mean_delay_minutes =
-        accums[e].completed > 0
-            ? accums[e].delay_sum / static_cast<double>(accums[e].completed) /
-                  60.0
+        accums_[e].completed > 0
+            ? accums_[e].delay_sum /
+                  static_cast<double>(accums_[e].completed) / 60.0
             : 0.0;
-    stats.fill_fraction = fill_at_epoch_end[e];
-    epochs.push_back(stats);
+    stats.fill_fraction = fill_at_epoch_end_[e];
+    epochs_.push_back(stats);
   }
-  return epochs;
 }
 
 }  // namespace tapejuke

@@ -4,38 +4,38 @@
 // on a dedicated tape, leave the other tapes partly empty, and append
 // replicas of hot data to the tape *ends* when convenient — piggybacked on
 // read schedules that already have the tape loaded — so performance
-// improves without dedicated write passes. This simulator implements that
-// lifecycle: it starts from a spare-capacity layout with no replicas and
-// opportunistically writes replicas into the free space at sweep ends (the
-// drive is already positioned on the tape) and during idle periods,
-// reporting performance per epoch so the "free" improvement is visible as
-// the replica population grows.
+// improves without dedicated write passes. ReplicaFill holds that policy:
+// starting from a spare-capacity layout it writes replicas into the free
+// space at sweep ends (the drive is already positioned on the tape) and
+// during idle periods, as background operations of the Simulator's event
+// loop, and reports performance per epoch so the "free" improvement is
+// visible as the replica population grows.
 
 #ifndef TAPEJUKE_SIM_LIFECYCLE_H_
 #define TAPEJUKE_SIM_LIFECYCLE_H_
 
+#include <algorithm>
 #include <cstdint>
 #include <vector>
 
 #include "layout/catalog.h"
-#include "sched/scheduler.h"
-#include "sim/simulator.h"
-#include "sim/workload.h"
 #include "tape/jukebox.h"
 #include "util/status.h"
 
 namespace tapejuke {
 
-/// Gradual-fill parameters.
+/// Gradual-fill parameters (SimulationConfig::fill).
 struct LifecycleConfig {
-  /// Maximum seconds of replica writing appended to one read sweep.
+  /// Maximum seconds of replica writing appended to one read sweep, and
+  /// per idle fill. 0 writes nothing: the spare capacity stays empty.
   double fill_budget_seconds = 120.0;
-  /// Also fill during idle periods (open queuing).
-  bool fill_on_idle = true;
   /// Stop once every hot block has this many copies in total.
   int32_t target_copies = 10;
-  /// Number of reporting windows.
-  int32_t num_epochs = 10;
+  /// Number of reporting windows over the whole run. 0, the default,
+  /// disables the lifecycle (no fill, no report).
+  int32_t num_epochs = 0;
+
+  bool enabled() const { return num_epochs > 0; }
 
   Status Validate() const;
 };
@@ -51,18 +51,44 @@ struct EpochStats {
   double fill_fraction = 0;
 };
 
-/// Single-drive simulator that grows hot-data replicas while serving reads.
-class LifecycleSimulator {
+/// The fill policy and its state: per-tape free-slot lists, a hot-block
+/// cursor per tape and the per-epoch series. Owned by the Simulator; the
+/// methods that write return the drive seconds and leave the clock to it.
+class ReplicaFill {
  public:
-  /// `catalog` is mutated as replicas are written. The jukebox layout must
-  /// have spare slots for them (e.g. LayoutSpec with pack_cold or a
-  /// logical_blocks_override below the maximum).
-  LifecycleSimulator(Jukebox* jukebox, Catalog* catalog,
-                     Scheduler* scheduler, const SimulationConfig& sim,
-                     const LifecycleConfig& lifecycle);
+  /// `catalog` and the jukebox's tapes are mutated as replicas are
+  /// written. The layout must have spare slots for them (e.g. LayoutSpec
+  /// with pack_cold or a logical_blocks_override below the maximum).
+  ReplicaFill(const LifecycleConfig& config, double duration_seconds,
+              Jukebox* jukebox, Catalog* catalog);
 
-  /// Runs to completion; call once. Returns per-epoch performance.
-  std::vector<EpochStats> Run();
+  /// True while the fill budget is positive and the target is not met.
+  bool wants_more() const {
+    return config_.fill_budget_seconds > 0 && replicas_written_ < fill_target_;
+  }
+
+  /// The tape that most needs replicas (free slots + missing copies), or
+  /// kInvalidTape.
+  TapeId NeediestTape() const;
+
+  /// Writes replicas of hot blocks onto the mounted tape, starting at
+  /// `now`, until the budget or the tape's capacity/need runs out; returns
+  /// the drive seconds and notes the fill level at their end.
+  double FillMountedTape(double now);
+
+  /// A client request that arrived at `arrival` completed at `now`.
+  void OnCompletion(double arrival, double now) {
+    EpochAccum& epoch = accums_[EpochOf(now)];
+    ++epoch.completed;
+    epoch.delay_sum += now - arrival;
+  }
+
+  /// Closes the per-epoch series at the run's end time `end`; call once,
+  /// after the last event.
+  void FinishAt(double end);
+
+  /// The per-epoch series; valid after FinishAt.
+  const std::vector<EpochStats>& epochs() const { return epochs_; }
 
   /// Replicas written so far.
   int64_t replicas_written() const { return replicas_written_; }
@@ -71,20 +97,24 @@ class LifecycleSimulator {
   int64_t fill_target() const { return fill_target_; }
 
  private:
-  /// Writes replicas of hot blocks onto the mounted tape until the budget
-  /// or the tape's capacity/need runs out; returns elapsed seconds.
-  double FillMountedTape(double budget_seconds);
+  struct EpochAccum {
+    int64_t completed = 0;
+    double delay_sum = 0;
+  };
 
-  /// The tape that most needs replicas (free slots + missing copies), or
-  /// kInvalidTape.
-  TapeId NeediestTape() const;
+  /// The reporting window holding time `t` (the last one past the end).
+  size_t EpochOf(double t) const {
+    return std::min(static_cast<size_t>(t / epoch_len_), accums_.size() - 1);
+  }
 
+  /// Records the fill level reached at `now` for its epoch and every later
+  /// one (later fills overwrite them).
+  void NoteFill(double now);
+
+  LifecycleConfig config_;
   Jukebox* jukebox_;
   Catalog* catalog_;
-  Scheduler* scheduler_;
-  SimulationConfig sim_config_;
-  LifecycleConfig lifecycle_;
-  WorkloadGenerator workload_;
+  double epoch_len_;
 
   /// Per-tape free slots (descending, so fills start at the tape end) and
   /// a round-robin cursor over hot blocks per tape.
@@ -93,10 +123,9 @@ class LifecycleSimulator {
   int64_t replicas_written_ = 0;
   int64_t fill_target_ = 0;
 
+  std::vector<EpochAccum> accums_;
+  std::vector<double> fill_at_epoch_end_;
   std::vector<EpochStats> epochs_;
-  double clock_ = 0;
-  double next_arrival_ = 0;
-  bool ran_ = false;
 };
 
 }  // namespace tapejuke

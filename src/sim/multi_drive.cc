@@ -33,6 +33,11 @@ Status MultiDriveConfig::Validate(const SimulationConfig& sim) const {
     return Status::InvalidArgument(
         "scrub/repair is single-drive only; use one drive");
   }
+  if (sim.writes.enabled() || sim.fill.enabled()) {
+    return Status::InvalidArgument(
+        "the write path and replica fill are single-drive only; use one "
+        "drive");
+  }
   if (sim.workload.think_time_seconds > 0) {
     return Status::InvalidArgument(
         "closed-model think time is single-drive only; use one drive");

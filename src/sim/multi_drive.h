@@ -53,9 +53,9 @@ struct MultiDriveConfig {
   SchedulerOptions options;
 
   /// Checks these parameters and the inputs of `sim` this engine cannot
-  /// honour: scrub/repair and closed-model think time are single-drive
-  /// only. The constructors, the farm and the command-line tools all
-  /// reject through this one check.
+  /// honour: scrub/repair, the write path, replica fill and closed-model
+  /// think time are single-drive only. The constructors, the farm and the
+  /// command-line tools all reject through this one check.
   Status Validate(const SimulationConfig& sim) const;
 };
 

@@ -34,6 +34,22 @@ Status SimulationConfig::Validate() const {
     return Status::InvalidArgument(
         "scrub/repair requires fault injection (config.faults)");
   }
+  const Status writes_status = writes.Validate();
+  if (!writes_status.ok()) return writes_status;
+  const Status fill_status = fill.Validate();
+  if (!fill_status.ok()) return fill_status;
+  if (static_cast<int>(writes.enabled()) + static_cast<int>(fill.enabled()) +
+          static_cast<int>(repair.enabled()) >
+      1) {
+    return Status::InvalidArgument(
+        "the write path, replica fill and scrub/repair are mutually "
+        "exclusive (fill and repair would take the same spare slots)");
+  }
+  if (fill.enabled() && faults.enabled()) {
+    return Status::InvalidArgument(
+        "replica fill does not support fault injection (it does not track "
+        "dead tapes)");
+  }
   const Status admission_status = admission.Validate(workload);
   if (!admission_status.ok()) return admission_status;
   return workload.Validate();

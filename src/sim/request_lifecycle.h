@@ -31,9 +31,11 @@
 #include "sim/admission.h"
 #include "sim/event_queue.h"
 #include "sim/fault_model.h"
+#include "sim/lifecycle.h"
 #include "sim/metrics.h"
 #include "sim/repair.h"
 #include "sim/workload.h"
+#include "sim/write_path.h"
 #include "tape/jukebox.h"
 #include "util/flat_hash.h"
 #include "util/status.h"
@@ -59,6 +61,15 @@ struct SimulationConfig {
   /// is admitted and output is byte-identical to a build without the
   /// overload subsystem). Open model only.
   AdmissionConfig admission;
+  /// Delta-staged writes with piggybacked, idle and forced flushing
+  /// (disabled by default). Single-drive only.
+  WritePathConfig writes;
+  /// The §4.8 gradual replica fill and its per-epoch report (disabled by
+  /// default). Single-drive only; requires the mutable-catalog
+  /// constructor and no fault injection. At most one of writes, fill and
+  /// repair may be enabled: each is background work for the same idle
+  /// drive, and fill and repair would take the same spare slots.
+  LifecycleConfig fill;
   /// Observability (disabled by default; never serialized into results
   /// JSON). When enabled the simulator owns a TraceRecorder, feeds it
   /// drive state slices / request lifecycles / scheduler decisions, and

@@ -6,6 +6,9 @@
 #include "util/check.h"
 
 namespace tapejuke {
+namespace {
+constexpr obs::DriveActivity kBackground = obs::DriveActivity::kBackground;
+}  // namespace
 
 Simulator::Simulator(Jukebox* jukebox, const Catalog* catalog,
                      Scheduler* scheduler, const SimulationConfig& config)
@@ -48,6 +51,15 @@ Simulator::Simulator(Jukebox* jukebox, const Catalog* catalog,
       if (recorder != nullptr) repair_->set_recorder(recorder);
     }
   }
+  if (config.writes.enabled()) {
+    writes_.emplace(config.writes, jukebox_, catalog, config.workload.seed);
+  }
+  if (config.fill.enabled()) {
+    fill_.emplace(config.fill, config.duration_seconds, jukebox_,
+                  mutable_catalog);
+  }
+  after_read_ = writes_.has_value() || fill_.has_value();
+  background_ = after_read_ || repair_.has_value();
   if (trace.has_value()) {
     trace_mode_ = true;
     trace_ = std::move(*trace);
@@ -116,6 +128,9 @@ void Simulator::HandlePermanentError(const ServiceEntry& entry,
   std::vector<BlockId> newly_masked;
   const bool masked =
       life_.MaskLostMedia(tape, entry.block, whole_tape, &newly_masked);
+  if (masked && writes_.has_value()) {
+    writes_->OnMediaLost(tape, entry.block, whole_tape);
+  }
   if (whole_tape) {
     // Every remaining sweep entry read this tape; drain them and fail each
     // request over to a surviving replica.
@@ -142,6 +157,84 @@ void Simulator::EvictUnservable() {
   }
 }
 
+void Simulator::AdvanceDrive(double seconds, obs::DriveActivity activity) {
+  const double end = clock_ + seconds;
+  DeliverArrivalsUpTo(end, jukebox_->head());
+  clock_ = end;
+  life_.accounting().ChargeTo(0, activity, clock_);
+  life_.MaybeMarkWarmup(clock_, jukebox_->counters());
+}
+
+double Simulator::SwitchTo(TapeId tape, SwitchBreakdown* breakdown) {
+  double seconds = jukebox_->SwitchTo(tape, breakdown);
+  FaultModel* const faults = life_.faults();
+  if (faults != nullptr && seconds > 0) {
+    // Robot handoff faults: each slip repeats the robot move.
+    const int slips = faults->NextRobotFaults();
+    if (slips > 0) {
+      const double extra = jukebox_->ChargeRobotRetries(slips);
+      life_.fault_stats().robot_faults += slips;
+      life_.fault_stats().robot_retry_seconds += extra;
+      seconds += extra;
+      breakdown->robot += extra;
+    }
+  }
+  return seconds;
+}
+
+void Simulator::MountForBackground(TapeId tape) {
+  SwitchBreakdown breakdown;
+  AdvanceDrive(SwitchTo(tape, &breakdown), kBackground);
+}
+
+void Simulator::FlushDirtiest(WritePath::Flush reason) {
+  const TapeId tape = writes_->DirtiestTape();
+  MountForBackground(tape);
+  AdvanceDrive(writes_->FlushTape(tape, reason), kBackground);
+}
+
+double Simulator::NextIdleWorkTime() const {
+  if (repair_.has_value()) return repair_->NextIdleWorkTime(clock_);
+  if (writes_.has_value()) return writes_->NextIdleWorkTime(clock_);
+  return fill_->wants_more() && fill_->NeediestTape() != kInvalidTape
+             ? clock_
+             : std::numeric_limits<double>::infinity();
+}
+
+void Simulator::RunIdleWork() {
+  if (repair_.has_value()) {
+    // Each quantum is at most one block, so arrivals preempt scrub/repair
+    // at block granularity.
+    const RepairManager::Quantum quantum = repair_->IdleQuantum(clock_);
+    AdvanceDrive(quantum.seconds, kBackground);
+    if (quantum.masked_replicas) EvictUnservable();
+  } else if (writes_.has_value()) {
+    FlushDirtiest(WritePath::Flush::kIdle);
+  } else {
+    MountForBackground(fill_->NeediestTape());
+    AdvanceDrive(fill_->FillMountedTape(clock_), kBackground);
+  }
+}
+
+void Simulator::AfterRead(double read_start, const ServiceEntry& entry) {
+  if (fill_.has_value()) {
+    for (const Request& request : entry.requests) {
+      fill_->OnCompletion(request.arrival_time, clock_);
+    }
+  } else {
+    writes_->DeliverUpTo(read_start);
+  }
+  if (!scheduler_->sweep_empty()) return;
+  // The sweep just drained and the drive is already on its tape: a
+  // piggybacked flush or fill runs before the next reschedule.
+  AdvancePastDriveRepairs();
+  const double seconds =
+      writes_.has_value()
+          ? writes_->PiggybackFlush()
+          : (fill_->wants_more() ? fill_->FillMountedTape(clock_) : 0.0);
+  if (seconds > 0) AdvanceDrive(seconds, kBackground);
+}
+
 void Simulator::AdvancePastDriveRepairs() {
   if (!drive_faults_) return;
   // Failure epochs are processed lazily, when the drive next starts work:
@@ -151,11 +244,7 @@ void Simulator::AdvancePastDriveRepairs() {
     const double repair = life_.faults()->NextRepairTime();
     ++life_.fault_stats().drive_failures;
     life_.fault_stats().drive_repair_seconds += repair;
-    const double end = clock_ + repair;
-    DeliverArrivalsUpTo(end, jukebox_->head());
-    clock_ = end;
-    life_.accounting().ChargeTo(0, obs::DriveActivity::kDown, clock_);
-    life_.MaybeMarkWarmup(clock_, jukebox_->counters());
+    AdvanceDrive(repair, obs::DriveActivity::kDown);
     next_drive_failure_ = clock_ + life_.faults()->NextFailureGap();
   }
 }
@@ -218,34 +307,35 @@ SimulationResult Simulator::Run() {
 
   while (clock_ < config.duration_seconds) {
     if (scheduler_->sweep_empty()) {
+      if (writes_.has_value()) {
+        // Forced flush: the staging buffer is over capacity; reads wait.
+        writes_->DeliverUpTo(clock_);
+        if (writes_->over_capacity()) {
+          AdvancePastDriveRepairs();
+          FlushDirtiest(WritePath::Flush::kForced);
+          continue;
+        }
+      }
       if (!scheduler_->HasWork()) {
-        // Step 4: the drive is idle. With repair enabled, background
-        // scrub/repair quanta use the idle drive until the next client
-        // event; each quantum is at most one block, so arrivals preempt
-        // background work at block granularity.
-        if (repair_.has_value()) {
+        // Step 4: the drive is idle. Background work uses it until the
+        // next client event.
+        if (background_) {
           AdvancePastDriveRepairs();
           const double next_event =
               closed ? (thinking.empty()
                             ? std::numeric_limits<double>::infinity()
                             : thinking.NextTime())
                      : next_arrival_;
-          const double next_work = repair_->NextIdleWorkTime(clock_);
+          const double next_work = NextIdleWorkTime();
           if (next_work <= clock_ && clock_ < config.duration_seconds) {
-            const RepairManager::Quantum quantum =
-                repair_->IdleQuantum(clock_);
-            const double end = clock_ + quantum.seconds;
-            DeliverArrivalsUpTo(end, jukebox_->head());
-            clock_ = end;
-            accounting.ChargeTo(0, obs::DriveActivity::kBackground, clock_);
-            mark_warmup();
-            if (quantum.masked_replicas) EvictUnservable();
+            RunIdleWork();
             continue;
           }
           if (next_work < next_event &&
               next_work <= config.duration_seconds) {
             // Background work is due before the next client event: wake
-            // for it (e.g. a scrub pass or a refilled token bucket).
+            // for it (e.g. a scrub pass, a refilled token bucket or a
+            // write arrival).
             clock_ = next_work;
             accounting.ChargeTo(0, obs::DriveActivity::kIdle, clock_);
             DeliverArrivalsUpTo(clock_, jukebox_->head());
@@ -279,13 +369,7 @@ SimulationResult Simulator::Run() {
         // Tape-switch boundary: flush staged repair writes targeting the
         // mounted tape before the schedule switches away from it.
         const double flush = repair_->AtSweepBoundary(clock_);
-        if (flush > 0) {
-          const double end = clock_ + flush;
-          DeliverArrivalsUpTo(end, jukebox_->head());
-          clock_ = end;
-          accounting.ChargeTo(0, obs::DriveActivity::kBackground, clock_);
-          mark_warmup();
-        }
+        if (flush > 0) AdvanceDrive(flush, kBackground);
       }
       if (recorder != nullptr) recorder->SetNow(clock_);
       const TapeId tape = scheduler_->MajorReschedule();
@@ -293,19 +377,7 @@ SimulationResult Simulator::Run() {
           << "scheduler reported work but produced no schedule";
       life_.TraceSweepContents(scheduler_->sweep(), tape, clock_);
       SwitchBreakdown breakdown;
-      double switch_seconds = jukebox_->SwitchTo(tape, &breakdown);
-      double robot_seconds = breakdown.robot;
-      if (faults != nullptr && switch_seconds > 0) {
-        // Robot handoff faults: each slip repeats the robot move.
-        const int slips = faults->NextRobotFaults();
-        if (slips > 0) {
-          const double extra = jukebox_->ChargeRobotRetries(slips);
-          fault_stats.robot_faults += slips;
-          fault_stats.robot_retry_seconds += extra;
-          switch_seconds += extra;
-          robot_seconds += extra;
-        }
-      }
+      const double switch_seconds = SwitchTo(tape, &breakdown);
       const double end = clock_ + switch_seconds;
       // During the switch the committed head is the post-load position.
       DeliverArrivalsUpTo(end, jukebox_->head());
@@ -316,7 +388,7 @@ SimulationResult Simulator::Run() {
       accounting.ChargeTo(0, obs::DriveActivity::kRewinding, t);
       t += breakdown.eject;
       accounting.ChargeTo(0, obs::DriveActivity::kSwitching, t);
-      t += robot_seconds;
+      t += breakdown.robot;
       accounting.ChargeTo(0, obs::DriveActivity::kRobot, t);
       accounting.ChargeTo(0, obs::DriveActivity::kSwitching, end);
       clock_ = end;
@@ -326,6 +398,7 @@ SimulationResult Simulator::Run() {
 
     // Step 3: execute the next service-list entry.
     AdvancePastDriveRepairs();
+    const double read_start = clock_;
     const std::optional<ServiceEntry> entry = scheduler_->PopNext();
     TJ_CHECK(entry.has_value());
     ReadBreakdown read_breakdown;
@@ -395,8 +468,13 @@ SimulationResult Simulator::Run() {
       }
       Route(life_.Complete(request, clock_), jukebox_->head());
     }
+    if (after_read_) AfterRead(read_start, *entry);
   }
-  mark_warmup();
+  // A run that ends before the warm-up boundary marks it at the final
+  // counters, as MultiDriveSimulator does: nothing is measured.
+  life_.MaybeMarkWarmup(std::numeric_limits<double>::infinity(),
+                        jukebox_->counters());
+  if (fill_.has_value()) fill_->FinishAt(clock_);
   SimulationResult result = life_.Finish(clock_, jukebox_->counters());
   if (repair_.has_value()) {
     result.repair_enabled = true;

@@ -5,14 +5,15 @@
 // the bench quantify its interference with reads).
 //
 // Writes complete instantly from the client's view: they land in a bounded
-// disk buffer and dirty every tape position holding a replica of the
-// written block. Dirty data reaches tape three ways:
+// disk buffer and dirty every tape position holding a live replica of the
+// written block. Dirty data reaches tape three ways, each a background
+// operation of the Simulator's one event loop:
 //
 //   * piggyback flush — when a read sweep on tape t finishes, the drive is
 //     already positioned there: append a write pass over t's dirty
 //     positions before the next reschedule;
-//   * idle flush — when no reads are pending (open queuing), mount and
-//     clean the dirtiest tape;
+//   * idle flush — with piggybacking on, when no reads are pending, mount
+//     and clean the dirtiest tape;
 //   * forced flush — when the buffer exceeds its capacity, reads wait
 //     while the dirtiest tapes are cleaned (the interference the buffer is
 //     meant to avoid).
@@ -25,33 +26,31 @@
 #include <set>
 
 #include "layout/catalog.h"
-#include "sched/scheduler.h"
-#include "sim/metrics.h"
-#include "sim/simulator.h"
-#include "sim/workload.h"
 #include "tape/jukebox.h"
+#include "util/rng.h"
 #include "util/status.h"
 
 namespace tapejuke {
 
-/// Write-path parameters.
+/// Write-path parameters (SimulationConfig::writes).
 struct WritePathConfig {
   /// Mean interarrival time of write operations (Poisson, independent of
-  /// the read stream). <= 0 disables writes.
-  double mean_write_interarrival_seconds = 120.0;
+  /// the read stream). <= 0, the default, disables the write path.
+  double mean_write_interarrival_seconds = 0.0;
   /// Fraction of writes directed to hot blocks (usually matches RH).
   double hot_write_fraction = 0.40;
   /// Disk staging capacity, in dirty tape-block updates. Exceeding it
   /// triggers forced flushes.
   int64_t buffer_capacity_blocks = 256;
-  /// Enable appending a write pass to the end of read sweeps.
+  /// Append a write pass to the end of read sweeps, and clean the dirtiest
+  /// tape whenever the drive is idle. Off leaves forced flushes only.
   bool piggyback = true;
   /// Piggyback only when the mounted tape has at least this many dirty
   /// updates — smaller batches are not worth the extra locates; they wait
   /// for more dirt or for an idle/forced flush.
   int64_t piggyback_min_blocks = 8;
-  /// Enable cleaning during idle periods (open queuing only).
-  bool idle_flush = true;
+
+  bool enabled() const { return mean_write_interarrival_seconds > 0; }
 
   Status Validate() const;
 };
@@ -68,53 +67,67 @@ struct WritePathStats {
   double write_seconds = 0;  ///< drive time spent locating + writing
 };
 
-/// Single-drive simulator with a read scheduler plus the delta write path.
-class WritebackSimulator {
+/// The write path's policy and state: the write-arrival stream, the dirty
+/// map and the staging buffer. Owned by the Simulator, which calls it from
+/// its event loop; every method that moves the drive returns the drive
+/// seconds it took and leaves the clock to the caller.
+class WritePath {
  public:
-  /// All pointers must outlive the simulator; `scheduler` handles reads.
-  WritebackSimulator(Jukebox* jukebox, const Catalog* catalog,
-                     Scheduler* scheduler, const SimulationConfig& sim,
-                     const WritePathConfig& writes);
+  /// All pointers must outlive the write path. `seed` is the run's
+  /// workload seed; the write stream draws from its own RNG derived from
+  /// it, so reads are unaffected by the write rate.
+  WritePath(const WritePathConfig& config, Jukebox* jukebox,
+            const Catalog* catalog, uint64_t seed);
 
-  /// Runs to completion; call once. The returned metrics cover *reads*
-  /// (write latency is ~0 by construction); write-path behaviour is in
-  /// stats().
-  SimulationResult Run();
+  /// Stages every write arriving at or before `now`, in arrival order.
+  void DeliverUpTo(double now);
 
-  const WritePathStats& stats() const { return stats_; }
+  /// True when the staging buffer is over capacity (a forced flush is due).
+  bool over_capacity() const {
+    return buffer_occupancy_ > config_.buffer_capacity_blocks;
+  }
 
-  /// Dirty updates currently staged (for tests).
-  int64_t buffer_occupancy() const { return buffer_occupancy_; }
-
- private:
-  /// Stages a write to `block` at time `now`.
-  void AcceptWrite(BlockId block, double now);
-
-  /// Writes out all dirty positions of `tape` (drive must be mounted on
-  /// it); returns elapsed seconds.
-  double FlushTape(TapeId tape);
+  /// Earliest time >= `now` at which an idle drive has write work: `now`
+  /// when an idle flush is due, else the next write arrival (which may
+  /// overfill the buffer).
+  double NextIdleWorkTime(double now) const;
 
   /// Tape with the most dirty updates, or kInvalidTape.
   TapeId DirtiestTape() const;
 
+  /// Why a flush runs; selects its WritePathStats counter.
+  enum class Flush { kPiggyback, kIdle, kForced };
+
+  /// Writes out all dirty positions of `tape`, which must be mounted;
+  /// returns the drive seconds.
+  double FlushTape(TapeId tape, Flush reason);
+
+  /// The sweep on the mounted tape just drained: cleans the tape when it
+  /// holds at least piggyback_min_blocks dirty updates. Returns seconds.
+  double PiggybackFlush();
+
+  /// A permanent media error masked the replica of `block` on `tape`, or
+  /// the whole tape: its dirt can never be written and is dropped.
+  void OnMediaLost(TapeId tape, BlockId block, bool whole_tape);
+
+  const WritePathStats& stats() const { return stats_; }
+
+  /// Dirty updates currently staged.
+  int64_t buffer_occupancy() const { return buffer_occupancy_; }
+
+ private:
+  /// Stages a write to `block`: dirties each of its live replicas.
+  void AcceptWrite(BlockId block);
+
+  WritePathConfig config_;
   Jukebox* jukebox_;
   const Catalog* catalog_;
-  Scheduler* scheduler_;
-  SimulationConfig sim_config_;
-  WritePathConfig write_config_;
-  WorkloadGenerator read_workload_;
-  Rng write_rng_;
-  MetricsCollector metrics_;
+  Rng rng_;
+  double next_arrival_;
 
   std::map<TapeId, std::set<Position>> dirty_;
   int64_t buffer_occupancy_ = 0;
   WritePathStats stats_;
-
-  double clock_ = 0;
-  double next_read_arrival_ = 0;
-  double next_write_arrival_ = 0;
-  bool warmup_marked_ = false;
-  bool ran_ = false;
 };
 
 }  // namespace tapejuke

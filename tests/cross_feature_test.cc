@@ -7,9 +7,8 @@
 #include "sched/envelope_scheduler.h"
 #include "sched/greedy_scheduler.h"
 #include "sched/validating_scheduler.h"
-#include "sim/lifecycle.h"
+#include "sim/simulator.h"
 #include "sim/trace.h"
-#include "sim/write_path.h"
 
 namespace tapejuke {
 namespace {
@@ -47,13 +46,11 @@ TEST(CrossFeature, ThinkTimeWithWritePath) {
   sim_config.workload.queue_length = 40;
   sim_config.workload.think_time_seconds = 300;
   sim_config.workload.seed = 37;
-  WritePathConfig writes;
-  writes.mean_write_interarrival_seconds = 200;
-  WritebackSimulator sim(&jukebox, &catalog, &scheduler, sim_config,
-                         writes);
+  sim_config.writes.mean_write_interarrival_seconds = 200;
+  Simulator sim(&jukebox, &catalog, &scheduler, sim_config);
   const SimulationResult result = sim.Run();
   EXPECT_GT(result.completed_requests, 500);
-  EXPECT_GT(sim.stats().blocks_flushed, 0);
+  EXPECT_GT(sim.writes()->stats().blocks_flushed, 0);
   EXPECT_LT(result.mean_outstanding, 40.0);  // some population thinks
 }
 
@@ -134,13 +131,12 @@ TEST(CrossFeature, MultiTapeVerticalLifecycleFill) {
   sim_config.warmup_seconds = 0;
   sim_config.workload.queue_length = 60;
   sim_config.workload.seed = 47;
-  LifecycleConfig lifecycle;
-  lifecycle.target_copies = 5;
-  lifecycle.fill_budget_seconds = 240;
-  LifecycleSimulator sim(&jukebox, &catalog, &scheduler, sim_config,
-                         lifecycle);
+  sim_config.fill.target_copies = 5;
+  sim_config.fill.fill_budget_seconds = 240;
+  sim_config.fill.num_epochs = 10;
+  Simulator sim(&jukebox, &catalog, &scheduler, sim_config);
   sim.Run();
-  EXPECT_EQ(sim.replicas_written(), sim.fill_target());
+  EXPECT_EQ(sim.fill()->replicas_written(), sim.fill()->fill_target());
   for (BlockId b = 0; b < catalog.num_hot_blocks(); ++b) {
     EXPECT_EQ(catalog.ReplicasOf(b).size(), 5u);
   }

@@ -1,4 +1,5 @@
-// Tests for the gradual-fill replica lifecycle (§4.8).
+// Tests for the gradual-fill replica lifecycle (§4.8), run as background
+// work of the Simulator's event loop.
 
 #include "sim/lifecycle.h"
 
@@ -6,6 +7,8 @@
 
 #include "layout/placement.h"
 #include "sched/envelope_scheduler.h"
+#include "sim/multi_drive.h"
+#include "sim/simulator.h"
 
 namespace tapejuke {
 namespace {
@@ -44,36 +47,64 @@ struct Rig {
   std::optional<EnvelopeScheduler> scheduler;
 };
 
-SimulationConfig LongSim() {
+SimulationConfig LongSim(double budget = 240, int32_t epochs = 10) {
   SimulationConfig config;
   config.duration_seconds = 1'500'000;
   config.warmup_seconds = 0;  // epochs cover the whole run
   config.workload.queue_length = 60;
   config.workload.seed = 51;
+  config.fill.fill_budget_seconds = budget;
+  config.fill.num_epochs = epochs;
   return config;
 }
 
 TEST(LifecycleConfig, Validation) {
   LifecycleConfig config;
   EXPECT_TRUE(config.Validate().ok());
+  EXPECT_FALSE(config.enabled());  // off by default
   config.fill_budget_seconds = -1;
   EXPECT_FALSE(config.Validate().ok());
   config = LifecycleConfig{};
   config.target_copies = 0;
   EXPECT_FALSE(config.Validate().ok());
   config = LifecycleConfig{};
-  config.num_epochs = 0;
+  config.num_epochs = -1;
   EXPECT_FALSE(config.Validate().ok());
+}
+
+TEST(LifecycleConfig, RejectsFaultsRepairAndWrites) {
+  SimulationConfig config = LongSim();
+  EXPECT_TRUE(config.Validate().ok());
+  config.faults.permanent_media_error_prob = 1e-4;
+  const Status faults = config.Validate();
+  EXPECT_FALSE(faults.ok());
+  EXPECT_NE(faults.ToString().find("replica fill"), std::string::npos);
+  config.repair.enable_repair = true;
+  EXPECT_FALSE(config.Validate().ok());
+  config = LongSim();
+  config.writes.mean_write_interarrival_seconds = 120;
+  EXPECT_FALSE(config.Validate().ok());
+  // The multi-drive engine honours neither.
+  EXPECT_FALSE(MultiDriveConfig{}.Validate(LongSim()).ok());
+  config = SimulationConfig{};
+  config.writes.mean_write_interarrival_seconds = 120;
+  EXPECT_FALSE(MultiDriveConfig{}.Validate(config).ok());
+}
+
+TEST(LifecycleDeathTest, ConstCatalogAborts) {
+  Rig rig;
+  const Catalog& catalog = *rig.catalog;
+  EXPECT_DEATH(Simulator(&rig.jukebox, &catalog, &*rig.scheduler, LongSim()),
+               "mutable-catalog");
 }
 
 TEST(Lifecycle, ReplicasFillAndPerformanceImproves) {
   Rig rig;
-  LifecycleConfig lifecycle;
-  lifecycle.num_epochs = 6;
-  lifecycle.fill_budget_seconds = 240;
-  LifecycleSimulator sim(&rig.jukebox, &*rig.catalog, &*rig.scheduler,
-                         LongSim(), lifecycle);
-  const std::vector<EpochStats> epochs = sim.Run();
+  Simulator sim(&rig.jukebox, &*rig.catalog, &*rig.scheduler,
+                LongSim(240, /*epochs=*/6));
+  sim.Run();
+  const ReplicaFill& fill = *sim.fill();
+  const std::vector<EpochStats>& epochs = fill.epochs();
   ASSERT_EQ(epochs.size(), 6u);
 
   // The fill fraction is monotone and reaches (near) completion.
@@ -81,7 +112,7 @@ TEST(Lifecycle, ReplicasFillAndPerformanceImproves) {
     EXPECT_GE(epochs[e].fill_fraction, epochs[e - 1].fill_fraction);
   }
   EXPECT_GT(epochs.back().fill_fraction, 0.95);
-  EXPECT_EQ(sim.replicas_written(), sim.fill_target());
+  EXPECT_EQ(fill.replicas_written(), fill.fill_target());
 
   // Throughput in the final (fully replicated) epoch beats the first.
   EXPECT_GT(epochs.back().requests_per_minute,
@@ -90,10 +121,7 @@ TEST(Lifecycle, ReplicasFillAndPerformanceImproves) {
 
 TEST(Lifecycle, CatalogAndTapesStayConsistent) {
   Rig rig;
-  LifecycleConfig lifecycle;
-  lifecycle.fill_budget_seconds = 240;
-  LifecycleSimulator sim(&rig.jukebox, &*rig.catalog, &*rig.scheduler,
-                         LongSim(), lifecycle);
+  Simulator sim(&rig.jukebox, &*rig.catalog, &*rig.scheduler, LongSim());
   sim.Run();
   // Every catalog replica matches the tape contents.
   for (BlockId b = 0; b < rig.catalog->num_blocks(); ++b) {
@@ -114,15 +142,53 @@ TEST(Lifecycle, CatalogAndTapesStayConsistent) {
 
 TEST(Lifecycle, ZeroBudgetWritesNothingViaPiggyback) {
   Rig rig;
-  LifecycleConfig lifecycle;
-  lifecycle.fill_budget_seconds = 0;
-  lifecycle.fill_on_idle = false;
-  SimulationConfig sim_config = LongSim();
-  sim_config.duration_seconds = 200'000;
-  LifecycleSimulator sim(&rig.jukebox, &*rig.catalog, &*rig.scheduler,
-                         sim_config, lifecycle);
-  sim.Run();
-  EXPECT_EQ(sim.replicas_written(), 0);
+  SimulationConfig config = LongSim(/*budget=*/0);
+  config.duration_seconds = 200'000;
+  Simulator sim(&rig.jukebox, &*rig.catalog, &*rig.scheduler, config);
+  const SimulationResult result = sim.Run();
+  EXPECT_EQ(sim.fill()->replicas_written(), 0);
+  EXPECT_EQ(rig.catalog->TotalCopies(), rig.catalog->num_blocks());
+  // The epoch series still reports every completion.
+  int64_t completed = 0;
+  for (const EpochStats& epoch : sim.fill()->epochs()) {
+    EXPECT_EQ(epoch.fill_fraction, 0.0);
+    completed += epoch.completed_requests;
+  }
+  EXPECT_EQ(completed, result.completed_total);
+}
+
+TEST(Lifecycle, OpenModelIdleFillStillServesReads) {
+  // A light open load leaves the drive idle most of the time: idle fills
+  // deliver the reads that arrive while they run, so the epochs during
+  // the fill report served reads, time-in-state sums to the run (the
+  // clock never ran backwards) and timeline rows are time-ordered.
+  Rig rig;
+  SimulationConfig config = LongSim();
+  config.workload.model = QueuingModel::kOpen;
+  config.workload.mean_interarrival_seconds = 600;
+  config.timeline.interval_seconds = 20'000;
+  config.timeline.buffer_only = true;
+  Simulator sim(&rig.jukebox, &*rig.catalog, &*rig.scheduler, config);
+  const SimulationResult result = sim.Run();
+  const ReplicaFill& fill = *sim.fill();
+  EXPECT_EQ(fill.replicas_written(), fill.fill_target());
+  for (const EpochStats& epoch : fill.epochs()) {
+    EXPECT_GT(epoch.completed_requests, 100);
+  }
+  ASSERT_EQ(result.time_in_state.size(), 1u);
+  EXPECT_NEAR(result.time_in_state[0].Total(), result.measured_seconds,
+              1e-6 * result.measured_seconds);
+  EXPECT_GT(result.time_in_state[0].seconds[static_cast<size_t>(
+                obs::DriveActivity::kBackground)],
+            0.0);
+  const obs::TimelineSampler* timeline = sim.timeline();
+  ASSERT_NE(timeline, nullptr);
+  ASSERT_GT(timeline->rows().size(), 10u);
+  double last = 0;
+  for (const obs::TimelineSampler::Row& row : timeline->rows()) {
+    EXPECT_GT(row.t, last);
+    last = row.t;
+  }
 }
 
 TEST(Catalog, AddReplicaExtendsBlock) {

@@ -159,5 +159,35 @@ TEST(MultiDriveDeathTest, ThinkTimeAborts) {
                "think time");
 }
 
+TEST(MultiDrive, RunEndingBeforeWarmupReportsSameCountersAsSimulator) {
+  // Permanent errors destroy the archive long before the warm-up boundary;
+  // both engines then mark it at the final counters, so nothing is
+  // measured and the reported activity agrees.
+  SimulationConfig config;
+  config.workload.queue_length = 20;
+  config.workload.seed = 31;
+  config.faults.permanent_media_error_prob = 0.9;
+  config.faults.whole_tape_fraction = 1.0;
+
+  Rig single;
+  GreedyScheduler sched(&single.jukebox, &single.catalog,
+                        TapePolicy::kMaxBandwidth, /*dynamic=*/true);
+  const SimulationResult a =
+      Simulator(&single.jukebox, &single.catalog, &sched, config).Run();
+  Rig multi;
+  const SimulationResult b =
+      MultiDriveSimulator(&multi.jukebox, &multi.catalog, MultiDriveConfig{},
+                          config)
+          .Run();
+  ASSERT_LT(a.simulated_seconds, config.warmup_seconds);
+  ASSERT_LT(b.simulated_seconds, config.warmup_seconds);
+  EXPECT_EQ(a.measured_seconds, 0.0);
+  EXPECT_EQ(a.counters.blocks_read, b.counters.blocks_read);
+  EXPECT_EQ(a.counters.tape_switches, b.counters.tape_switches);
+  EXPECT_EQ(a.counters.mb_read, b.counters.mb_read);
+  EXPECT_EQ(a.counters.BusySeconds(), b.counters.BusySeconds());
+  EXPECT_EQ(a.counters.blocks_read, 0);
+}
+
 }  // namespace
 }  // namespace tapejuke
