@@ -1,5 +1,7 @@
 #include "sim/lifecycle.h"
 
+#include <limits>
+
 #include "util/check.h"
 
 namespace tapejuke {
@@ -19,30 +21,20 @@ Status LifecycleConfig::Validate() const {
 
 ReplicaFill::ReplicaFill(const LifecycleConfig& config,
                          double duration_seconds, Jukebox* jukebox,
-                         Catalog* catalog)
+                         Catalog* catalog, DriveOps* ops, SpareSlots* spare)
     : config_(config),
       jukebox_(jukebox),
       catalog_(catalog),
+      ops_(ops),
+      spare_(spare),
       epoch_len_(duration_seconds / config.num_epochs),
+      next_hot_(static_cast<size_t>(jukebox->num_tapes()), 0),
       accums_(static_cast<size_t>(config.num_epochs)),
       fill_at_epoch_end_(static_cast<size_t>(config.num_epochs), 0) {
   TJ_CHECK(config.enabled());
   TJ_CHECK(catalog != nullptr)
       << "replica fill requires the mutable-catalog constructor";
   TJ_CHECK_LE(config.target_copies, jukebox->num_tapes());
-
-  const int32_t num_tapes = jukebox->num_tapes();
-  free_slots_.resize(static_cast<size_t>(num_tapes));
-  next_hot_.assign(static_cast<size_t>(num_tapes), 0);
-  for (TapeId t = 0; t < num_tapes; ++t) {
-    const Tape& tape = jukebox->tape(t);
-    // Descending order: replicas land at the tape end first (§4.5).
-    for (int64_t s = tape.num_slots() - 1; s >= 0; --s) {
-      if (tape.BlockAtSlot(s) == kInvalidBlock) {
-        free_slots_[static_cast<size_t>(t)].push_back(s);
-      }
-    }
-  }
   // Fill target: every hot block reaches target_copies copies (bounded by
   // what distinct tapes allow).
   for (BlockId b = 0; b < catalog->num_hot_blocks(); ++b) {
@@ -55,7 +47,7 @@ TapeId ReplicaFill::NeediestTape() const {
   TapeId best = kInvalidTape;
   int64_t best_need = 0;
   for (TapeId t = 0; t < jukebox_->num_tapes(); ++t) {
-    if (free_slots_[static_cast<size_t>(t)].empty()) continue;
+    if (spare_->free(t) == 0) continue;
     // Count hot blocks still missing a copy here (capped: exact counts are
     // only needed to rank tapes).
     int64_t missing = 0;
@@ -66,9 +58,7 @@ TapeId ReplicaFill::NeediestTape() const {
       }
       if (catalog_->ReplicaOn(b, t) == nullptr) ++missing;
     }
-    const int64_t need = std::min(
-        missing,
-        static_cast<int64_t>(free_slots_[static_cast<size_t>(t)].size()));
+    const int64_t need = std::min(missing, spare_->free(t));
     if (need > best_need) {
       best_need = need;
       best = t;
@@ -77,47 +67,80 @@ TapeId ReplicaFill::NeediestTape() const {
   return best;
 }
 
-double ReplicaFill::FillMountedTape(double now) {
-  const TapeId tape_id = jukebox_->mounted_tape();
+bool ReplicaFill::WriteOne(TapeId tape_id, double* seconds) {
   const int64_t hot = catalog_->num_hot_blocks();
-  if (tape_id == kInvalidTape || hot == 0) return 0;
-  auto& free = free_slots_[static_cast<size_t>(tape_id)];
+  if (spare_->free(tape_id) == 0) return false;
+  // Next hot block that still wants a copy and lacks one on this tape.
   BlockId& cursor = next_hot_[static_cast<size_t>(tape_id)];
-
-  double elapsed = 0;
-  Drive& drive = jukebox_->drive();
-  Tape& tape = jukebox_->tape(tape_id);
-  while (!free.empty() && elapsed < config_.fill_budget_seconds) {
-    // Next hot block that still wants a copy and lacks one on this tape.
-    BlockId chosen = kInvalidBlock;
-    for (int64_t scanned = 0; scanned < hot; ++scanned) {
-      const BlockId candidate = cursor;
-      cursor = (cursor + 1) % hot;
-      if (static_cast<int32_t>(catalog_->ReplicasOf(candidate).size()) >=
-          config_.target_copies) {
-        continue;
-      }
-      if (catalog_->ReplicaOn(candidate, tape_id) == nullptr) {
-        chosen = candidate;
-        break;
-      }
+  BlockId chosen = kInvalidBlock;
+  for (int64_t scanned = 0; scanned < hot; ++scanned) {
+    const BlockId candidate = cursor;
+    cursor = (cursor + 1) % hot;
+    if (static_cast<int32_t>(catalog_->ReplicasOf(candidate).size()) >=
+        config_.target_copies) {
+      continue;
     }
-    if (chosen == kInvalidBlock) break;  // tape already has all it can take
+    if (catalog_->ReplicaOn(candidate, tape_id) == nullptr) {
+      chosen = candidate;
+      break;
+    }
+  }
+  if (chosen == kInvalidBlock) return false;  // the tape has all it can take
 
-    const int64_t slot = free.front();
-    free.erase(free.begin());
-    const Position position = tape.PositionOfSlot(slot);
-    // The source data is read from the disk/memory tier (hot data is
-    // cached there per §2); only the tape-side locate + write costs time.
-    elapsed += drive.LocateTo(position);
-    elapsed += drive.Read(jukebox_->config().block_size_mb);  // write cost
-    const Status placed = tape.PlaceBlock(chosen, slot);
-    TJ_CHECK(placed.ok()) << placed.ToString();
-    catalog_->AddReplica(chosen, Replica{tape_id, slot, position});
-    ++replicas_written_;
+  Tape& tape = jukebox_->tape(tape_id);
+  const int64_t slot = spare_->TakeHighest(tape_id);
+  const Position position = tape.PositionOfSlot(slot);
+  // The source data is read from the disk/memory tier (hot data is cached
+  // there per §2); only the tape-side locate + write costs time.
+  ops_->Write(position, seconds);
+  const Status placed = tape.PlaceBlock(chosen, slot);
+  TJ_CHECK(placed.ok()) << placed.ToString();
+  catalog_->AddReplica(chosen, Replica{tape_id, slot, position});
+  ++replicas_written_;
+  return true;
+}
+
+void ReplicaFill::AfterRead(const ServiceEntry& entry, double /*start*/,
+                            double now) {
+  EpochAccum& epoch = accums_[EpochOf(now)];
+  for (const Request& request : entry.requests) {
+    ++epoch.completed;
+    epoch.delay_sum += now - request.arrival_time;
+  }
+}
+
+double ReplicaFill::Piggyback(Boundary boundary, double now) {
+  const TapeId tape = jukebox_->mounted_tape();
+  if (boundary != Boundary::kSweepDrained || !wants_more() ||
+      tape == kInvalidTape) {
+    return 0;
+  }
+  double elapsed = 0;
+  while (elapsed < config_.fill_budget_seconds && WriteOne(tape, &elapsed)) {
   }
   NoteFill(now + elapsed);
   return elapsed;
+}
+
+double ReplicaFill::NextIdleWorkTime(double now) const {
+  return wants_more() && NeediestTape() != kInvalidTape
+             ? now
+             : std::numeric_limits<double>::infinity();
+}
+
+BackgroundWork::Quantum ReplicaFill::IdleQuantum(double now) {
+  Quantum quantum;
+  if (idle_tape_ == kInvalidTape) idle_tape_ = NeediestTape();
+  if (jukebox_->mounted_tape() != idle_tape_) {
+    quantum.mount_seconds = ops_->Mount(idle_tape_);
+    return quantum;
+  }
+  if (WriteOne(idle_tape_, &quantum.seconds)) {
+    NoteFill(now + quantum.seconds);
+  } else {
+    idle_tape_ = kInvalidTape;  // full or complete: the next quantum re-picks
+  }
+  return quantum;
 }
 
 void ReplicaFill::NoteFill(double now) {
@@ -130,7 +153,7 @@ void ReplicaFill::NoteFill(double now) {
   }
 }
 
-void ReplicaFill::FinishAt(double end) {
+void ReplicaFill::Finish(double end, SimulationResult* /*result*/) {
   NoteFill(end);
   epochs_.clear();
   for (size_t e = 0; e < accums_.size(); ++e) {

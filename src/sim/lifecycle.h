@@ -6,10 +6,10 @@
 // read schedules that already have the tape loaded — so performance
 // improves without dedicated write passes. ReplicaFill holds that policy:
 // starting from a spare-capacity layout it writes replicas into the free
-// space at sweep ends (the drive is already positioned on the tape) and
-// during idle periods, as background operations of the Simulator's event
-// loop, and reports performance per epoch so the "free" improvement is
-// visible as the replica population grows.
+// space at sweep ends (the drive is already positioned on the tape) and,
+// one replica per quantum, during idle periods, as background work of the
+// Simulator's event loop. It reports performance per epoch so the "free"
+// improvement is visible as the replica population grows.
 
 #ifndef TAPEJUKE_SIM_LIFECYCLE_H_
 #define TAPEJUKE_SIM_LIFECYCLE_H_
@@ -19,6 +19,8 @@
 #include <vector>
 
 #include "layout/catalog.h"
+#include "sim/background.h"
+#include "sim/drive_ops.h"
 #include "tape/jukebox.h"
 #include "util/status.h"
 
@@ -26,8 +28,8 @@ namespace tapejuke {
 
 /// Gradual-fill parameters (SimulationConfig::fill).
 struct LifecycleConfig {
-  /// Maximum seconds of replica writing appended to one read sweep, and
-  /// per idle fill. 0 writes nothing: the spare capacity stays empty.
+  /// Maximum seconds of replica writing appended to one read sweep. 0
+  /// writes nothing, idle fill included: the spare capacity stays empty.
   double fill_budget_seconds = 120.0;
   /// Stop once every hot block has this many copies in total.
   int32_t target_copies = 10;
@@ -51,43 +53,34 @@ struct EpochStats {
   double fill_fraction = 0;
 };
 
-/// The fill policy and its state: per-tape free-slot lists, a hot-block
-/// cursor per tape and the per-epoch series. Owned by the Simulator; the
-/// methods that write return the drive seconds and leave the clock to it.
-class ReplicaFill {
+/// The fill policy and its state: a hot-block cursor per tape and the
+/// per-epoch series; free slots come from the shared SpareSlots ledger.
+/// One of the Simulator's background components; it moves the drive only
+/// through the shared DriveOps.
+class ReplicaFill : public BackgroundWork {
  public:
   /// `catalog` and the jukebox's tapes are mutated as replicas are
   /// written. The layout must have spare slots for them (e.g. LayoutSpec
   /// with pack_cold or a logical_blocks_override below the maximum).
   ReplicaFill(const LifecycleConfig& config, double duration_seconds,
-              Jukebox* jukebox, Catalog* catalog);
+              Jukebox* jukebox, Catalog* catalog, DriveOps* ops,
+              SpareSlots* spare);
 
-  /// True while the fill budget is positive and the target is not met.
-  bool wants_more() const {
-    return config_.fill_budget_seconds > 0 && replicas_written_ < fill_target_;
-  }
+  /// Feeds the per-epoch series one call per client completion.
+  void AfterRead(const ServiceEntry& entry, double start,
+                 double now) override;
+  /// A sweep just drained: writes replicas of hot blocks onto the mounted
+  /// tape until the budget or the tape's capacity/need runs out.
+  double Piggyback(Boundary boundary, double now) override;
+  /// `now` while the fill wants more and some tape can take it.
+  double NextIdleWorkTime(double now) const override;
+  /// The idle fill: mounts the neediest tape, then writes one replica per
+  /// quantum while that tape can take more.
+  Quantum IdleQuantum(double now) override;
+  /// Closes the per-epoch series at the run's end time `end`.
+  void Finish(double end, SimulationResult* result) override;
 
-  /// The tape that most needs replicas (free slots + missing copies), or
-  /// kInvalidTape.
-  TapeId NeediestTape() const;
-
-  /// Writes replicas of hot blocks onto the mounted tape, starting at
-  /// `now`, until the budget or the tape's capacity/need runs out; returns
-  /// the drive seconds and notes the fill level at their end.
-  double FillMountedTape(double now);
-
-  /// A client request that arrived at `arrival` completed at `now`.
-  void OnCompletion(double arrival, double now) {
-    EpochAccum& epoch = accums_[EpochOf(now)];
-    ++epoch.completed;
-    epoch.delay_sum += now - arrival;
-  }
-
-  /// Closes the per-epoch series at the run's end time `end`; call once,
-  /// after the last event.
-  void FinishAt(double end);
-
-  /// The per-epoch series; valid after FinishAt.
+  /// The per-epoch series; valid after Finish.
   const std::vector<EpochStats>& epochs() const { return epochs_; }
 
   /// Replicas written so far.
@@ -107,6 +100,20 @@ class ReplicaFill {
     return std::min(static_cast<size_t>(t / epoch_len_), accums_.size() - 1);
   }
 
+  /// True while the fill budget is positive and the target is not met.
+  bool wants_more() const {
+    return config_.fill_budget_seconds > 0 && replicas_written_ < fill_target_;
+  }
+
+  /// The tape that most needs replicas (free slots + missing copies), or
+  /// kInvalidTape.
+  TapeId NeediestTape() const;
+
+  /// Writes one replica of the next hot block the mounted `tape` lacks
+  /// into its highest free slot and adds the seconds to `*seconds`; false
+  /// when the tape can take none.
+  bool WriteOne(TapeId tape, double* seconds);
+
   /// Records the fill level reached at `now` for its epoch and every later
   /// one (later fills overwrite them).
   void NoteFill(double now);
@@ -114,12 +121,14 @@ class ReplicaFill {
   LifecycleConfig config_;
   Jukebox* jukebox_;
   Catalog* catalog_;
+  DriveOps* ops_;
+  SpareSlots* spare_;
   double epoch_len_;
 
-  /// Per-tape free slots (descending, so fills start at the tape end) and
-  /// a round-robin cursor over hot blocks per tape.
-  std::vector<std::vector<int64_t>> free_slots_;
+  /// A round-robin cursor over hot blocks per tape.
   std::vector<BlockId> next_hot_;
+  /// The tape the idle fill in progress writes to.
+  TapeId idle_tape_ = kInvalidTape;
   int64_t replicas_written_ = 0;
   int64_t fill_target_ = 0;
 

@@ -67,6 +67,7 @@ MultiDriveSimulator::MultiDriveSimulator(Jukebox* jukebox,
       life_(catalog, mutable_catalog, sim, drives.num_drives,
             jukebox->config().block_size_mb,
             /*closed=*/sim.workload.model == QueuingModel::kClosed),
+      ops_(jukebox, life_.faults(), &life_.fault_stats()),
       cost_(&jukebox->model(), jukebox->config().block_size_mb) {
   TJ_CHECK(jukebox != nullptr);
   const Status status = drives.Validate(sim);
@@ -110,53 +111,13 @@ void MultiDriveSimulator::BeginNextRead(int d, double now) {
   DriveState& ds = drives_[static_cast<size_t>(d)];
   std::optional<ServiceEntry> entry = ds.sweep.Pop();
   TJ_CHECK(entry.has_value());
-  const int64_t block_mb = jukebox_->config().block_size_mb;
-  const double locate = ds.unit.LocateTo(entry->position);
-  counters_.locate_seconds += locate;
-  const double read = ds.unit.Read(block_mb);
-  counters_.read_seconds += read;
-  ++counters_.blocks_read;
-  counters_.mb_read += block_mb;
-  double op_seconds = locate + read;
-  double op_t = now + locate;
-  ds.pending_charge.emplace_back(obs::DriveActivity::kLocating, op_t);
-  op_t += read;
-  ds.pending_charge.emplace_back(obs::DriveActivity::kReading, op_t);
-  ReadOutcome outcome;
-  if (FaultModel* const faults = life_.faults()) {
-    FaultStats& fault_stats = life_.fault_stats();
-    outcome = faults->NextReadOutcome();
-    // Each transient retry locates back to the block start and re-reads,
-    // after an optional exponential-backoff wait (charged as locating so
-    // the drive stays visibly occupied by the faulted operation).
-    for (int r = 0; r < outcome.retries; ++r) {
-      const double backoff = faults->NextRetryBackoff(r);
-      if (backoff > 0) {
-        op_seconds += backoff;
-        op_t += backoff;
-        ds.pending_charge.emplace_back(obs::DriveActivity::kLocating, op_t);
-      }
-      const double back = ds.unit.LocateTo(entry->position);
-      counters_.locate_seconds += back;
-      const double again = ds.unit.Read(block_mb);
-      counters_.read_seconds += again;
-      ++counters_.blocks_read;
-      counters_.mb_read += block_mb;
-      op_seconds += back + again;
-      op_t += back;
-      ds.pending_charge.emplace_back(obs::DriveActivity::kLocating, op_t);
-      op_t += again;
-      ds.pending_charge.emplace_back(obs::DriveActivity::kReading, op_t);
-    }
-    fault_stats.transient_read_errors +=
-        outcome.retries + (outcome.escalated ? 1 : 0);
-    fault_stats.read_retries += outcome.retries;
-    if (outcome.escalated) ++fault_stats.reads_escalated;
-  }
-  const double end = now + op_seconds;
-  // Absorb accumulation drift between the per-segment sums and op_seconds
-  // into the final reading segment, so the flush lands exactly on the
-  // completion event's timestamp.
+  const DriveOps::BlockRead read = ops_.Read(
+      ds.unit, entry->position, now, &counters_, &ds.pending_charge);
+  const ReadOutcome& outcome = read.outcome;
+  const double end = now + read.seconds;
+  // Absorb accumulation drift between the per-segment sums and the read's
+  // seconds into the final reading segment, so the flush lands exactly on
+  // the completion event's timestamp.
   ds.pending_charge.back().second = end;
   obs::TraceRecorder* const recorder = life_.recorder();
   if (recorder != nullptr && outcome.retries > 0) {
@@ -268,17 +229,12 @@ void MultiDriveSimulator::Dispatch(int d, double now) {
   stats_.robot_wait_seconds += robot_start - local_done;
   const double robot_seconds = jukebox_->model().params().robot_seconds;
   double robot_busy = robot_seconds;
-  if (FaultModel* const faults = life_.faults()) {
-    // Robot handoff faults: each slip repeats the robot move, extending
-    // the serialized arm occupancy other drives queue behind.
-    const int slips = faults->NextRobotFaults();
-    if (slips > 0) {
-      const double extra = slips * robot_seconds;
-      life_.fault_stats().robot_faults += slips;
-      life_.fault_stats().robot_retry_seconds += extra;
-      counters_.switch_seconds += extra;
-      robot_busy += extra;
-    }
+  // Robot handoff faults: each slip repeats the robot move, extending the
+  // serialized arm occupancy other drives queue behind.
+  if (const int slips = ops_.DrawRobotSlips(); slips > 0) {
+    const double extra = slips * robot_seconds;
+    counters_.switch_seconds += extra;
+    robot_busy += extra;
   }
   robot_free_at_ = robot_start + robot_busy;
   counters_.switch_seconds += robot_seconds;

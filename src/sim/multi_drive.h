@@ -34,6 +34,7 @@
 #include "sched/scheduler.h"
 #include "sched/sweep.h"
 #include "sched/sweep_builder.h"
+#include "sim/drive_ops.h"
 #include "sim/event_queue.h"
 #include "sim/fault_model.h"
 #include "sim/metrics.h"
@@ -133,7 +134,7 @@ class MultiDriveSimulator {
     /// when the operation's completion event fires — never before — so
     /// drive cursors never outrun the simulation clock and a run that
     /// ends mid-operation clips the charge at the final clock.
-    std::vector<std::pair<obs::DriveActivity, double>> pending_charge;
+    DriveSegments pending_charge;
   };
 
   /// True if `tape` is claimed by any drive other than `self`.
@@ -185,6 +186,7 @@ class MultiDriveSimulator {
   /// The shared request lifecycle: metrics, recorder, timeline, faults,
   /// admission, deadlines and the closed model's processes.
   RequestLifecycle life_;
+  DriveOps ops_;
   ScheduleCost cost_;
   CandidateBuilder candidate_builder_;
   SweepScratch sweep_scratch_;

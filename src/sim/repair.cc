@@ -1,11 +1,10 @@
 #include "sim/repair.h"
 
 #include <algorithm>
-#include <functional>
 #include <limits>
 #include <sstream>
 
-#include "tape/drive.h"
+#include "sim/metrics.h"
 #include "tape/tape.h"
 #include "util/check.h"
 #include "util/json.h"
@@ -34,32 +33,21 @@ Status RepairConfig::Validate() const {
 
 RepairManager::RepairManager(const RepairConfig& config, Jukebox* jukebox,
                              Catalog* catalog, Scheduler* scheduler,
-                             FaultModel* faults, FaultStats* fault_stats)
+                             DriveOps* ops, SpareSlots* spare)
     : config_(config),
       jukebox_(jukebox),
       catalog_(catalog),
       scheduler_(scheduler),
-      faults_(faults),
-      fault_stats_(fault_stats),
+      ops_(ops),
+      spare_(spare),
       block_mb_(jukebox->config().block_size_mb) {
   TJ_CHECK(jukebox_ != nullptr && catalog_ != nullptr &&
-           scheduler_ != nullptr && faults_ != nullptr &&
-           fault_stats_ != nullptr);
+           scheduler_ != nullptr && ops_ != nullptr && spare_ != nullptr);
   TJ_CHECK(config_.enabled());
   TJ_CHECK(config_.Validate().ok()) << config_.Validate().message();
   if (config_.repair_bandwidth_mb_per_s > 0.0) {
     TJ_CHECK_GE(config_.repair_burst_mb, static_cast<double>(block_mb_))
         << "repair burst must cover at least one block";
-  }
-  const TapeId num_tapes = jukebox_->num_tapes();
-  free_slots_.resize(static_cast<size_t>(num_tapes));
-  dead_tape_.assign(static_cast<size_t>(num_tapes), 0);
-  for (TapeId t = 0; t < num_tapes; ++t) {
-    const Tape& tape = jukebox_->tape(t);
-    std::vector<int64_t>& pool = free_slots_[static_cast<size_t>(t)];
-    for (int64_t slot = tape.num_slots() - 1; slot >= 0; --slot) {
-      if (tape.BlockAtSlot(slot) == kInvalidBlock) pool.push_back(slot);
-    }
   }
   tokens_ = config_.repair_burst_mb;
   token_time_ = 0.0;
@@ -103,10 +91,10 @@ bool RepairManager::ChooseTarget(BlockId block, RepairTask* task) {
     return false;
   };
   TapeId best = kInvalidTape;
-  size_t best_free = 0;
+  int64_t best_free = 0;
   for (TapeId t = 0; t < jukebox_->num_tapes(); ++t) {
-    const size_t free = free_slots_[static_cast<size_t>(t)].size();
-    if (free == 0 || dead_tape_[static_cast<size_t>(t)] != 0) continue;
+    const int64_t free = spare_->free(t);
+    if (free == 0) continue;  // a dead tape has none
     if (catalog_->ReplicaOn(block, t) != nullptr) continue;
     if (already_targeted(t)) continue;
     if (best == kInvalidTape || free > best_free) {
@@ -115,26 +103,16 @@ bool RepairManager::ChooseTarget(BlockId block, RepairTask* task) {
     }
   }
   if (best == kInvalidTape) return false;
-  std::vector<int64_t>& pool = free_slots_[static_cast<size_t>(best)];
   task->target_tape = best;
-  task->target_slot = pool.back();
-  pool.pop_back();
+  task->target_slot = spare_->TakeLowest(best);
   return true;
-}
-
-void RepairManager::ReleaseSlot(TapeId tape, int64_t slot) {
-  if (dead_tape_[static_cast<size_t>(tape)] != 0) return;
-  std::vector<int64_t>& pool = free_slots_[static_cast<size_t>(tape)];
-  const auto it = std::lower_bound(pool.begin(), pool.end(), slot,
-                                   std::greater<int64_t>());
-  pool.insert(it, slot);
 }
 
 void RepairManager::AbandonBlock(BlockId block) {
   const auto it = tasks_.find(block);
   if (it == tasks_.end()) return;
   for (const RepairTask& task : it->second.tasks) {
-    ReleaseSlot(task.target_tape, task.target_slot);
+    spare_->Release(task.target_tape, task.target_slot);
     ++stats_.repairs_abandoned;
     --outstanding_tasks_;
   }
@@ -182,15 +160,18 @@ void RepairManager::OnReplicaDead(BlockId block, TapeId tape, double now) {
   }
 }
 
-void RepairManager::OnTapeDead(TapeId tape,
-                               const std::vector<BlockId>& newly_masked,
-                               double now) {
-  dead_tape_[static_cast<size_t>(tape)] = 1;
-  free_slots_[static_cast<size_t>(tape)].clear();
+void RepairManager::OnMediaLost(TapeId tape, BlockId block, bool whole_tape,
+                                const std::vector<BlockId>& newly_masked,
+                                double now) {
+  if (!whole_tape) {
+    OnReplicaDead(block, tape, now);
+    return;
+  }
+  spare_->MarkDead(tape);
   // Tasks that were going to write onto the dead tape lost their reserved
   // slots with it; re-target them or drop them.
   std::vector<BlockId> emptied;
-  for (auto& [block, state] : tasks_) {
+  for (auto& [b, state] : tasks_) {
     for (auto it = state.tasks.begin(); it != state.tasks.end();) {
       if (it->target_tape != tape) {
         ++it;
@@ -199,7 +180,7 @@ void RepairManager::OnTapeDead(TapeId tape,
       RepairTask moved = *it;
       moved.target_tape = kInvalidTape;
       moved.target_slot = -1;
-      if (ChooseTarget(block, &moved)) {
+      if (ChooseTarget(b, &moved)) {
         *it = moved;
         ++it;
       } else {
@@ -208,16 +189,13 @@ void RepairManager::OnTapeDead(TapeId tape,
         it = state.tasks.erase(it);
       }
     }
-    if (state.tasks.empty() && !state.source_outstanding) {
-      emptied.push_back(block);
-    }
+    if (state.tasks.empty() && !state.source_outstanding) emptied.push_back(b);
   }
-  for (const BlockId block : emptied) tasks_.erase(block);
-  for (const BlockId block : newly_masked) OnReplicaDead(block, tape, now);
+  for (const BlockId b : emptied) tasks_.erase(b);
+  for (const BlockId b : newly_masked) OnReplicaDead(b, tape, now);
 }
 
-void RepairManager::OnSourceReadComplete(BlockId block, double now) {
-  (void)now;
+void RepairManager::OnSourceReadComplete(BlockId block) {
   const auto it = tasks_.find(block);
   if (it == tasks_.end()) return;  // tasks abandoned while the read flew
   it->second.source_outstanding = false;
@@ -290,13 +268,6 @@ TapeId RepairManager::BestStagedTarget() const {
   return best;
 }
 
-bool RepairManager::HasStagedPayload() const {
-  for (const auto& [block, state] : tasks_) {
-    if (state.payload_buffered && !state.tasks.empty()) return true;
-  }
-  return false;
-}
-
 // --- execution -----------------------------------------------------------
 
 double RepairManager::CompleteTask(BlockId block, size_t idx, double now) {
@@ -311,10 +282,8 @@ double RepairManager::CompleteTask(BlockId block, size_t idx, double now) {
 
   Tape& target = jukebox_->tape(task.target_tape);
   const Position position = target.PositionOfSlot(task.target_slot);
-  Drive& drive = jukebox_->drive();
-  // The write is charged like a read of the same block (the writeback
-  // idiom): locate to the reserved slot, stream one block.
-  const double seconds = drive.LocateTo(position) + drive.Read(block_mb_);
+  double seconds = 0;
+  ops_->Write(position, &seconds);
   SpendTokens(now, static_cast<double>(block_mb_));
 
   const Status placed = target.PlaceBlock(block, task.target_slot);
@@ -347,8 +316,10 @@ double RepairManager::CompleteTask(BlockId block, size_t idx, double now) {
   return seconds;
 }
 
-double RepairManager::AtSweepBoundary(double now) {
-  if (!config_.enable_repair) return 0.0;
+double RepairManager::Piggyback(Boundary boundary, double now) {
+  if (!config_.enable_repair || boundary != Boundary::kBeforeReschedule) {
+    return 0.0;
+  }
   const TapeId mounted = jukebox_->mounted_tape();
   if (mounted == kInvalidTape) return 0.0;
   double seconds = 0.0;
@@ -366,21 +337,16 @@ double RepairManager::AtSweepBoundary(double now) {
   return seconds;
 }
 
-double RepairManager::Mount(TapeId tape, int64_t* mounts) {
-  TJ_CHECK_NE(tape, jukebox_->mounted_tape());
-  double seconds = jukebox_->SwitchTo(tape);
-  if (seconds > 0) {
-    // Mirror the simulator's robot-fault accounting for client mounts.
-    const int slips = faults_->NextRobotFaults();
-    if (slips > 0) {
-      const double extra = jukebox_->ChargeRobotRetries(slips);
-      fault_stats_->robot_faults += slips;
-      fault_stats_->robot_retry_seconds += extra;
-      seconds += extra;
+int64_t RepairManager::NextLiveSlot(TapeId t, int64_t from) const {
+  const Tape& tape = jukebox_->tape(t);
+  for (; from < tape.num_slots(); ++from) {
+    const BlockId block = tape.BlockAtSlot(from);
+    if (block != kInvalidBlock &&
+        catalog_->LiveReplicaOn(block, t) != nullptr) {
+      break;
     }
   }
-  ++*mounts;
-  return seconds;
+  return from;
 }
 
 void RepairManager::MaybeStartScrubPass(double now) {
@@ -388,18 +354,8 @@ void RepairManager::MaybeStartScrubPass(double now) {
   const TapeId num_tapes = jukebox_->num_tapes();
   for (TapeId i = 0; i < num_tapes; ++i) {
     const TapeId t = (scrub_cursor_ + i) % num_tapes;
-    if (dead_tape_[static_cast<size_t>(t)] != 0) continue;
-    const Tape& tape = jukebox_->tape(t);
-    bool has_live = false;
-    for (int64_t slot = 0; slot < tape.num_slots(); ++slot) {
-      const BlockId block = tape.BlockAtSlot(slot);
-      if (block != kInvalidBlock &&
-          catalog_->LiveReplicaOn(block, t) != nullptr) {
-        has_live = true;
-        break;
-      }
-    }
-    if (!has_live) continue;
+    const int64_t slots = jukebox_->tape(t).num_slots();
+    if (spare_->dead(t) || NextLiveSlot(t, 0) == slots) continue;
     scrub_tape_ = t;
     scrub_slot_ = 0;
     scrub_cursor_ = (t + 1) % num_tapes;
@@ -409,22 +365,14 @@ void RepairManager::MaybeStartScrubPass(double now) {
   next_scrub_due_ = now + config_.scrub_interval_seconds;
 }
 
-RepairManager::Quantum RepairManager::ScrubStep(double now) {
+BackgroundWork::Quantum RepairManager::ScrubStep(double now) {
   Quantum quantum;
   const TapeId scrubbed = scrub_tape_;
   TJ_CHECK_NE(scrubbed, kInvalidTape);
   TJ_CHECK_EQ(jukebox_->mounted_tape(), scrubbed);
   Tape& tape = jukebox_->tape(scrubbed);
-  const int64_t num_slots = tape.num_slots();
-  while (scrub_slot_ < num_slots) {
-    const BlockId block = tape.BlockAtSlot(scrub_slot_);
-    if (block != kInvalidBlock &&
-        catalog_->LiveReplicaOn(block, scrubbed) != nullptr) {
-      break;
-    }
-    ++scrub_slot_;
-  }
-  if (scrub_slot_ >= num_slots) {
+  scrub_slot_ = NextLiveSlot(scrubbed, scrub_slot_);
+  if (scrub_slot_ >= tape.num_slots()) {
     ++stats_.scrub_passes;
     if (recorder_ != nullptr) {
       std::ostringstream args;
@@ -440,47 +388,27 @@ RepairManager::Quantum RepairManager::ScrubStep(double now) {
   }
 
   const int64_t slot = scrub_slot_++;
-  const BlockId block = tape.BlockAtSlot(slot);
-  const Position position = tape.PositionOfSlot(slot);
-  Drive& drive = jukebox_->drive();
-  double seconds = drive.LocateTo(position) + drive.Read(block_mb_);
   // Scrub reads draw from the same fault stream and charge the same retry
-  // costs as client reads — that is the whole point of scrubbing.
-  const ReadOutcome outcome = faults_->NextReadOutcome();
-  for (int retry = 0; retry < outcome.retries; ++retry) {
-    seconds += drive.LocateTo(position) + drive.Read(block_mb_);
-  }
-  fault_stats_->transient_read_errors +=
-      outcome.retries + (outcome.escalated ? 1 : 0);
-  fault_stats_->read_retries += outcome.retries;
-  if (outcome.escalated) ++fault_stats_->reads_escalated;
+  // and backoff costs as client reads — that is the whole point of
+  // scrubbing.
+  const DriveOps::BlockRead read = ops_->Read(
+      jukebox_->drive(), tape.PositionOfSlot(slot), now, nullptr, nullptr);
   ++stats_.scrub_blocks_read;
-  stats_.scrub_seconds += seconds;
+  stats_.scrub_seconds += read.seconds;
   SpendTokens(now, static_cast<double>(block_mb_));
-  quantum.seconds = seconds;
-  if (!outcome.permanent_error) return quantum;
+  quantum.seconds = read.seconds;
+  if (!read.outcome.permanent_error) return quantum;
 
-  // A latent error, found before any client tripped over it.
-  ++fault_stats_->permanent_media_errors;
+  // A latent error, found before any client tripped over it; the Simulator
+  // masks it and calls OnMediaLost.
   ++stats_.scrub_errors_detected;
-  quantum.masked_replicas = true;
-  const double end = now + seconds;
-  if (outcome.whole_tape) {
-    ++fault_stats_->dead_tapes;
-    std::vector<BlockId> newly_masked;
-    fault_stats_->replicas_masked +=
-        catalog_->MarkTapeDead(scrubbed, &newly_masked);
-    for (const BlockId b : newly_masked) {
-      if (!catalog_->HasLiveReplica(b)) ++fault_stats_->blocks_lost;
-    }
+  quantum.lost_tape = scrubbed;
+  quantum.lost_block = tape.BlockAtSlot(slot);
+  quantum.lost_whole_tape = read.outcome.whole_tape;
+  if (read.outcome.whole_tape) {
     // The pass dies with the tape.
     scrub_tape_ = kInvalidTape;
-    next_scrub_due_ = end + config_.scrub_interval_seconds;
-    OnTapeDead(scrubbed, newly_masked, end);
-  } else if (catalog_->MarkReplicaDead(block, scrubbed)) {
-    ++fault_stats_->replicas_masked;
-    if (!catalog_->HasLiveReplica(block)) ++fault_stats_->blocks_lost;
-    OnReplicaDead(block, scrubbed, end);
+    next_scrub_due_ = now + read.seconds + config_.scrub_interval_seconds;
   }
   return quantum;
 }
@@ -489,7 +417,9 @@ double RepairManager::NextIdleWorkTime(double now) const {
   double best = std::numeric_limits<double>::infinity();
   const double block_mb = static_cast<double>(block_mb_);
   const double token_ready = TokenReadyTime(now, block_mb);
-  if (config_.enable_repair && HasStagedPayload()) best = token_ready;
+  if (config_.enable_repair && BestStagedTarget() != kInvalidTape) {
+    best = token_ready;
+  }
   if (config_.scrub_interval_seconds > 0.0 && catalog_->HasAnyLive()) {
     const double scrub_at =
         scrub_tape_ != kInvalidTape ? now : next_scrub_due_;
@@ -498,7 +428,7 @@ double RepairManager::NextIdleWorkTime(double now) const {
   return best;
 }
 
-RepairManager::Quantum RepairManager::IdleQuantum(double now) {
+BackgroundWork::Quantum RepairManager::IdleQuantum(double now) {
   Quantum quantum;
   const double block_mb = static_cast<double>(block_mb_);
   // Staged repair writes first: they restore redundancy, scrub only looks
@@ -513,7 +443,8 @@ RepairManager::Quantum RepairManager::IdleQuantum(double now) {
     }
     const TapeId target = BestStagedTarget();
     if (target != kInvalidTape && target != mounted) {
-      quantum.seconds = Mount(target, &stats_.repair_mounts);
+      quantum.mount_seconds = ops_->Mount(target);
+      ++stats_.repair_mounts;
       return quantum;
     }
   }
@@ -521,7 +452,8 @@ RepairManager::Quantum RepairManager::IdleQuantum(double now) {
     MaybeStartScrubPass(now);
     if (scrub_tape_ != kInvalidTape) {
       if (jukebox_->mounted_tape() != scrub_tape_) {
-        quantum.seconds = Mount(scrub_tape_, &stats_.scrub_mounts);
+        quantum.mount_seconds = ops_->Mount(scrub_tape_);
+        ++stats_.scrub_mounts;
         return quantum;
       }
       if (TokensAt(now) >= block_mb - kTokenSlack) return ScrubStep(now);
@@ -530,9 +462,10 @@ RepairManager::Quantum RepairManager::IdleQuantum(double now) {
   return quantum;
 }
 
-RepairStats RepairManager::Finalize() {
+void RepairManager::Finish(double /*end*/, SimulationResult* result) {
   stats_.backlog_final = outstanding_tasks_;
-  return stats_;
+  result->repair_enabled = true;
+  result->repair = stats_;
 }
 
 }  // namespace tapejuke

@@ -38,7 +38,8 @@
 #include "layout/catalog.h"
 #include "obs/recorder.h"
 #include "sched/scheduler.h"
-#include "sim/fault_model.h"
+#include "sim/background.h"
+#include "sim/drive_ops.h"
 #include "tape/jukebox.h"
 #include "util/status.h"
 
@@ -97,31 +98,27 @@ struct RepairStats {
 };
 
 /// Drives scrub passes and replica re-replication for one single-drive
-/// simulation run. Owned by the Simulator; all hooks are called from the
-/// simulation loop with the current simulated clock.
-class RepairManager {
+/// simulation run. One of the Simulator's background components; all hooks
+/// are called from the simulation loop with the current simulated clock.
+class RepairManager : public BackgroundWork {
  public:
   /// All pointers must outlive the manager. `catalog` is the mutable
   /// catalog faults mask into; `scheduler` receives background source
-  /// reads; `faults`/`fault_stats` are the run's fault stream and shared
-  /// counters (scrub outcomes are accounted there too).
+  /// reads; `ops` draws scrub reads from the run's fault stream; repair
+  /// targets come from the shared `spare` ledger.
   RepairManager(const RepairConfig& config, Jukebox* jukebox,
-                Catalog* catalog, Scheduler* scheduler, FaultModel* faults,
-                FaultStats* fault_stats);
+                Catalog* catalog, Scheduler* scheduler, DriveOps* ops,
+                SpareSlots* spare);
 
-  /// A replica of `block` on `tape` was newly masked dead (by a client
-  /// read or by scrub). Enqueues a repair task when possible.
-  void OnReplicaDead(BlockId block, TapeId tape, double now);
-
-  /// `tape` was lost whole; `newly_masked` lists the block of every
-  /// replica it took down. Re-targets tasks that were going to write onto
-  /// it, then enqueues repair work for the masked replicas.
-  void OnTapeDead(TapeId tape, const std::vector<BlockId>& newly_masked,
-                  double now);
+  /// Enqueues repair work for the masked replicas (by a client read or by
+  /// scrub). A dead tape's reserved target slots are re-targeted first.
+  void OnMediaLost(TapeId tape, BlockId block, bool whole_tape,
+                   const std::vector<BlockId>& newly_masked,
+                   double now) override;
 
   /// A background source read for `block` completed: its payload is now
   /// buffered and the block's staged writes may flush.
-  void OnSourceReadComplete(BlockId block, double now);
+  void OnSourceReadComplete(BlockId block);
 
   /// A background request was displaced from a sweep by a fault. Re-issues
   /// the source read against a surviving replica, or abandons the block's
@@ -131,32 +128,23 @@ class RepairManager {
   /// A background request was evicted: its block has no live replica.
   void OnBackgroundEvicted(BlockId block);
 
-  /// Tape-switch-boundary hook, called right before every major
-  /// reschedule: flushes staged repair writes targeting the mounted tape
-  /// while the token budget allows (piggybacked on a mount the client
-  /// schedule already paid for). Returns drive seconds charged.
-  double AtSweepBoundary(double now);
+  /// At the tape-switch boundary, right before every major reschedule:
+  /// flushes staged repair writes targeting the mounted tape while the
+  /// token budget allows (piggybacked on a mount the client schedule
+  /// already paid for). Returns drive seconds charged.
+  double Piggyback(Boundary boundary, double now) override;
 
   /// Earliest time >= `now` at which IdleQuantum would have work to do
   /// (+infinity when it has none). The simulator only burns idle time on
   /// repair when this is at hand before the next arrival.
-  double NextIdleWorkTime(double now) const;
+  double NextIdleWorkTime(double now) const override;
 
-  /// One idle-drive work quantum (a single mount, scrub read, or repair
-  /// write — one block at most, so client arrivals preempt background
-  /// work at block granularity).
-  struct Quantum {
-    double seconds = 0.0;
-    /// A scrub read masked replicas dead (the simulator must evict
-    /// now-unservable queued requests).
-    bool masked_replicas = false;
-  };
-  Quantum IdleQuantum(double now);
+  /// One idle-drive work quantum: a single mount, scrub read, or repair
+  /// write.
+  Quantum IdleQuantum(double now) override;
 
-  /// Fills backlog_final and returns the run's counters.
-  RepairStats Finalize();
-
-  const RepairStats& stats() const { return stats_; }
+  /// Fills backlog_final and reports the run's counters in `result`.
+  void Finish(double end, SimulationResult* result) override;
 
   /// Repair tasks discovered but not yet completed (timeline backlog
   /// gauge).
@@ -185,11 +173,15 @@ class RepairManager {
     bool payload_buffered = false;    ///< source read done; writes may go
   };
 
+  /// A replica of `block` on `tape` was newly masked dead. Enqueues a
+  /// repair task when possible.
+  void OnReplicaDead(BlockId block, TapeId tape, double now);
+
   /// Picks the target tape (most free slots; ties lowest id) and reserves
-  /// a slot on it. Excludes dead tapes, tapes already holding a copy of
-  /// the block, and tapes another task of this block already targets.
+  /// its lowest free slot. Excludes dead tapes, tapes already holding a
+  /// copy of the block, and tapes another task of this block already
+  /// targets.
   bool ChooseTarget(BlockId block, RepairTask* task);
-  void ReleaseSlot(TapeId tape, int64_t slot);
 
   /// Drops every task of `block` (its source is gone or no target fits).
   void AbandonBlock(BlockId block);
@@ -204,18 +196,16 @@ class RepairManager {
 
   /// First staged task targeting `tape` (map order), if any.
   bool FindStaged(TapeId tape, BlockId* block, size_t* idx) const;
-  /// Target tape with the most staged blocks (ties lowest id).
+  /// Target tape with the most staged blocks (ties lowest id), or
+  /// kInvalidTape when nothing is staged.
   TapeId BestStagedTarget() const;
-  bool HasStagedPayload() const;
-
-  /// Mounts `tape` for background work, mirroring the simulator's robot
-  /// fault accounting. Returns seconds; bumps *mounts.
-  double Mount(TapeId tape, int64_t* mounts);
 
   /// One scrub step on the mounted scrub tape: reads the next live slot
-  /// and applies its fault outcome (masking + repair enqueue on a
-  /// permanent error), or completes the pass.
+  /// (reporting a permanent error in the quantum), or completes the pass.
   Quantum ScrubStep(double now);
+  /// The first slot at or after `from` holding a live replica on tape `t`
+  /// (its slot count when none does).
+  int64_t NextLiveSlot(TapeId t, int64_t from) const;
   /// Starts a pass on the next round-robin tape with live data, if due.
   void MaybeStartScrubPass(double now);
 
@@ -228,8 +218,8 @@ class RepairManager {
   Jukebox* jukebox_;
   Catalog* catalog_;
   Scheduler* scheduler_;
-  FaultModel* faults_;
-  FaultStats* fault_stats_;
+  DriveOps* ops_;
+  SpareSlots* spare_;
   obs::TraceRecorder* recorder_ = nullptr;
   RepairStats stats_;
 
@@ -239,12 +229,6 @@ class RepairManager {
 
   /// Per-block repair state, deterministic iteration order.
   std::map<BlockId, BlockState> tasks_;
-
-  /// Unused (spare) slots per tape, descending so pop_back takes the
-  /// lowest slot first. Built once at construction; a reserved slot is
-  /// removed immediately and returned only if its task is abandoned.
-  std::vector<std::vector<int64_t>> free_slots_;
-  std::vector<uint8_t> dead_tape_;
 
   // Scrub state.
   double next_scrub_due_ = 0.0;

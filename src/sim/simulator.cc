@@ -35,31 +35,35 @@ Simulator::Simulator(Jukebox* jukebox, const Catalog* catalog,
       life_(catalog, mutable_catalog, config, /*num_drives=*/1,
             jukebox->config().block_size_mb,
             /*closed=*/!trace.has_value() &&
-                config.workload.model == QueuingModel::kClosed) {
+                config.workload.model == QueuingModel::kClosed),
+      ops_(jukebox, life_.faults(), &life_.fault_stats()) {
   TJ_CHECK(jukebox != nullptr);
   TJ_CHECK(scheduler != nullptr);
   obs::TraceRecorder* recorder = life_.recorder();
   if (recorder != nullptr) scheduler_->set_decision_sink(recorder);
-  if (FaultModel* faults = life_.faults()) {
-    if (config.faults.drive_mtbf_seconds > 0) {
-      drive_faults_ = true;
-      next_drive_failure_ = faults->NextFailureGap();
-    }
-    if (config.repair.enabled()) {
-      repair_.emplace(config.repair, jukebox_, mutable_catalog, scheduler_,
-                      faults, &life_.fault_stats());
-      if (recorder != nullptr) repair_->set_recorder(recorder);
-    }
+  if (config.faults.drive_mtbf_seconds > 0 && life_.faults() != nullptr) {
+    drive_faults_ = true;
+    next_drive_failure_ = life_.faults()->NextFailureGap();
+  }
+  if (config.repair.enabled() || config.fill.enabled()) {
+    spare_.emplace(*jukebox_);
+  }
+  if (config.repair.enabled()) {  // Validate: repair implies faults
+    repair_.emplace(config.repair, jukebox_, mutable_catalog, scheduler_,
+                    &ops_, &*spare_);
+    if (recorder != nullptr) repair_->set_recorder(recorder);
+    background_.push_back(&*repair_);
   }
   if (config.writes.enabled()) {
-    writes_.emplace(config.writes, jukebox_, catalog, config.workload.seed);
+    writes_.emplace(config.writes, jukebox_, catalog, &ops_,
+                    config.workload.seed);
+    background_.push_back(&*writes_);
   }
   if (config.fill.enabled()) {
     fill_.emplace(config.fill, config.duration_seconds, jukebox_,
-                  mutable_catalog);
+                  mutable_catalog, &ops_, &*spare_);
+    background_.push_back(&*fill_);
   }
-  after_read_ = writes_.has_value() || fill_.has_value();
-  background_ = after_read_ || repair_.has_value();
   if (trace.has_value()) {
     trace_mode_ = true;
     trace_ = std::move(*trace);
@@ -122,29 +126,23 @@ void Simulator::Requeue(const Request& request) {
   Route(next, jukebox_->head());
 }
 
-void Simulator::HandlePermanentError(const ServiceEntry& entry,
-                                     bool whole_tape) {
-  const TapeId tape = jukebox_->mounted_tape();
+void Simulator::LoseMedia(TapeId tape, BlockId block, bool whole_tape,
+                          double now) {
   std::vector<BlockId> newly_masked;
   const bool masked =
-      life_.MaskLostMedia(tape, entry.block, whole_tape, &newly_masked);
-  if (masked && writes_.has_value()) {
-    writes_->OnMediaLost(tape, entry.block, whole_tape);
-  }
+      life_.MaskLostMedia(tape, block, whole_tape, &newly_masked);
   if (whole_tape) {
     // Every remaining sweep entry read this tape; drain them and fail each
     // request over to a surviving replica.
     for (const Request& request : scheduler_->DrainSweep()) {
       Requeue(request);
     }
-    if (repair_.has_value()) repair_->OnTapeDead(tape, newly_masked, clock_);
-  } else if (masked && repair_.has_value()) {
-    repair_->OnReplicaDead(entry.block, tape, clock_);
   }
-  // The requests this read was serving fail over (or fail outright).
-  for (const Request& request : entry.requests) Requeue(request);
-  // Pending requests whose last replica just died can never be served.
-  EvictUnservable();
+  if (masked || whole_tape) {
+    for (BackgroundWork* work : background_) {
+      work->OnMediaLost(tape, block, whole_tape, newly_masked, now);
+    }
+  }
 }
 
 void Simulator::EvictUnservable() {
@@ -165,74 +163,77 @@ void Simulator::AdvanceDrive(double seconds, obs::DriveActivity activity) {
   life_.MaybeMarkWarmup(clock_, jukebox_->counters());
 }
 
-double Simulator::SwitchTo(TapeId tape, SwitchBreakdown* breakdown) {
-  double seconds = jukebox_->SwitchTo(tape, breakdown);
-  FaultModel* const faults = life_.faults();
-  if (faults != nullptr && seconds > 0) {
-    // Robot handoff faults: each slip repeats the robot move.
-    const int slips = faults->NextRobotFaults();
-    if (slips > 0) {
-      const double extra = jukebox_->ChargeRobotRetries(slips);
-      life_.fault_stats().robot_faults += slips;
-      life_.fault_stats().robot_retry_seconds += extra;
-      seconds += extra;
-      breakdown->robot += extra;
-    }
+void Simulator::IdleUntil(double time) {
+  clock_ = time;
+  life_.accounting().ChargeTo(0, obs::DriveActivity::kIdle, clock_);
+  DeliverArrivalsUpTo(clock_, jukebox_->head());
+  life_.MaybeMarkWarmup(clock_, jukebox_->counters());
+}
+
+void Simulator::RunQuantum(const BackgroundWork::Quantum& quantum) {
+  if (quantum.mount_seconds > 0) {
+    AdvanceDrive(quantum.mount_seconds, kBackground);
   }
-  return seconds;
-}
-
-void Simulator::MountForBackground(TapeId tape) {
-  SwitchBreakdown breakdown;
-  AdvanceDrive(SwitchTo(tape, &breakdown), kBackground);
-}
-
-void Simulator::FlushDirtiest(WritePath::Flush reason) {
-  const TapeId tape = writes_->DirtiestTape();
-  MountForBackground(tape);
-  AdvanceDrive(writes_->FlushTape(tape, reason), kBackground);
-}
-
-double Simulator::NextIdleWorkTime() const {
-  if (repair_.has_value()) return repair_->NextIdleWorkTime(clock_);
-  if (writes_.has_value()) return writes_->NextIdleWorkTime(clock_);
-  return fill_->wants_more() && fill_->NeediestTape() != kInvalidTape
-             ? clock_
-             : std::numeric_limits<double>::infinity();
-}
-
-void Simulator::RunIdleWork() {
-  if (repair_.has_value()) {
-    // Each quantum is at most one block, so arrivals preempt scrub/repair
-    // at block granularity.
-    const RepairManager::Quantum quantum = repair_->IdleQuantum(clock_);
-    AdvanceDrive(quantum.seconds, kBackground);
-    if (quantum.masked_replicas) EvictUnservable();
-  } else if (writes_.has_value()) {
-    FlushDirtiest(WritePath::Flush::kIdle);
-  } else {
-    MountForBackground(fill_->NeediestTape());
-    AdvanceDrive(fill_->FillMountedTape(clock_), kBackground);
+  const bool lost = quantum.lost_tape != kInvalidTape;
+  if (lost) {
+    // Masked as of the read's end, before the arrivals it overlaps.
+    LoseMedia(quantum.lost_tape, quantum.lost_block, quantum.lost_whole_tape,
+              clock_ + quantum.seconds);
   }
+  AdvanceDrive(quantum.seconds, kBackground);
+  if (lost) EvictUnservable();
 }
 
-void Simulator::AfterRead(double read_start, const ServiceEntry& entry) {
-  if (fill_.has_value()) {
-    for (const Request& request : entry.requests) {
-      fill_->OnCompletion(request.arrival_time, clock_);
-    }
-  } else {
-    writes_->DeliverUpTo(read_start);
-  }
-  if (!scheduler_->sweep_empty()) return;
-  // The sweep just drained and the drive is already on its tape: a
-  // piggybacked flush or fill runs before the next reschedule.
+bool Simulator::RunForcedWork() {
+  if (background_.empty()) return false;
+  // A failed drive is repaired before it does anything else.
   AdvancePastDriveRepairs();
-  const double seconds =
-      writes_.has_value()
-          ? writes_->PiggybackFlush()
-          : (fill_->wants_more() ? fill_->FillMountedTape(clock_) : 0.0);
-  if (seconds > 0) AdvanceDrive(seconds, kBackground);
+  for (BackgroundWork* work : background_) {
+    const BackgroundWork::Quantum quantum = work->ForcedWork(clock_);
+    if (quantum.ran()) {
+      RunQuantum(quantum);
+      return true;
+    }
+  }
+  return false;
+}
+
+void Simulator::Piggyback(BackgroundWork::Boundary boundary) {
+  for (BackgroundWork* work : background_) {
+    const double seconds = work->Piggyback(boundary, clock_);
+    if (seconds > 0) AdvanceDrive(seconds, kBackground);
+  }
+}
+
+double Simulator::NextClientEvent() {
+  if (!life_.closed()) return next_arrival_;
+  const EventQueue<char>& thinking = life_.thinking();
+  return thinking.empty() ? std::numeric_limits<double>::infinity()
+                          : thinking.NextTime();
+}
+
+bool Simulator::RunIdleWork(double next_event) {
+  BackgroundWork* due = nullptr;
+  double next_work = std::numeric_limits<double>::infinity();
+  for (BackgroundWork* work : background_) {
+    const double time = work->NextIdleWorkTime(clock_);
+    if (time < next_work) {
+      next_work = time;
+      due = work;
+    }
+  }
+  const double duration = life_.config().duration_seconds;
+  if (next_work <= clock_ && clock_ < duration) {
+    RunQuantum(due->IdleQuantum(clock_));
+    return true;
+  }
+  if (next_work < next_event && next_work <= duration) {
+    // Background work is due before the next client event: wake for it
+    // (e.g. a scrub pass, a refilled token bucket or a write arrival).
+    IdleUntil(next_work);
+    return true;
+  }
+  return false;
 }
 
 void Simulator::AdvancePastDriveRepairs() {
@@ -283,9 +284,6 @@ SimulationResult Simulator::Run() {
   ran_ = true;
   const SimulationConfig& config = life_.config();
   obs::TimeInStateAccounting& accounting = life_.accounting();
-  EventQueue<char>& thinking = life_.thinking();
-  FaultModel* const faults = life_.faults();
-  FaultStats& fault_stats = life_.fault_stats();
   obs::TraceRecorder* const recorder = life_.recorder();
   const auto mark_warmup = [this] {
     life_.MaybeMarkWarmup(clock_, jukebox_->counters());
@@ -307,77 +305,29 @@ SimulationResult Simulator::Run() {
 
   while (clock_ < config.duration_seconds) {
     if (scheduler_->sweep_empty()) {
-      if (writes_.has_value()) {
-        // Forced flush: the staging buffer is over capacity; reads wait.
-        writes_->DeliverUpTo(clock_);
-        if (writes_->over_capacity()) {
-          AdvancePastDriveRepairs();
-          FlushDirtiest(WritePath::Flush::kForced);
-          continue;
-        }
-      }
+      if (RunForcedWork()) continue;
       if (!scheduler_->HasWork()) {
         // Step 4: the drive is idle. Background work uses it until the
         // next client event.
-        if (background_) {
-          AdvancePastDriveRepairs();
-          const double next_event =
-              closed ? (thinking.empty()
-                            ? std::numeric_limits<double>::infinity()
-                            : thinking.NextTime())
-                     : next_arrival_;
-          const double next_work = NextIdleWorkTime();
-          if (next_work <= clock_ && clock_ < config.duration_seconds) {
-            RunIdleWork();
-            continue;
-          }
-          if (next_work < next_event &&
-              next_work <= config.duration_seconds) {
-            // Background work is due before the next client event: wake
-            // for it (e.g. a scrub pass, a refilled token bucket or a
-            // write arrival).
-            clock_ = next_work;
-            accounting.ChargeTo(0, obs::DriveActivity::kIdle, clock_);
-            DeliverArrivalsUpTo(clock_, jukebox_->head());
-            mark_warmup();
-            continue;
-          }
-        }
+        const double next_event = NextClientEvent();
+        if (RunIdleWork(next_event)) continue;
         // Wait for an arrival (or a thinking process to wake).
-        if (closed) {
-          if (thinking.empty() ||
-              thinking.NextTime() > config.duration_seconds) {
-            break;
-          }
-          clock_ = thinking.NextTime();
-          accounting.ChargeTo(0, obs::DriveActivity::kIdle, clock_);
-          DeliverArrivalsUpTo(clock_, jukebox_->head());
-          mark_warmup();
-          continue;
-        }
-        if (next_arrival_ > config.duration_seconds) break;
-        clock_ = next_arrival_;
-        accounting.ChargeTo(0, obs::DriveActivity::kIdle, clock_);
-        DeliverArrivalsUpTo(clock_, jukebox_->head());
-        mark_warmup();
+        if (next_event > config.duration_seconds) break;
+        IdleUntil(next_event);
         continue;
       }
       // Step 1: major reschedule; step 2: switch if needed. A failed drive
-      // must be repaired before it can work again.
+      // must be repaired before it can work again, and staged background
+      // writes for the mounted tape go before the schedule switches away.
       AdvancePastDriveRepairs();
-      if (repair_.has_value()) {
-        // Tape-switch boundary: flush staged repair writes targeting the
-        // mounted tape before the schedule switches away from it.
-        const double flush = repair_->AtSweepBoundary(clock_);
-        if (flush > 0) AdvanceDrive(flush, kBackground);
-      }
+      Piggyback(BackgroundWork::Boundary::kBeforeReschedule);
       if (recorder != nullptr) recorder->SetNow(clock_);
       const TapeId tape = scheduler_->MajorReschedule();
       TJ_CHECK_NE(tape, kInvalidTape)
           << "scheduler reported work but produced no schedule";
       life_.TraceSweepContents(scheduler_->sweep(), tape, clock_);
       SwitchBreakdown breakdown;
-      const double switch_seconds = SwitchTo(tape, &breakdown);
+      const double switch_seconds = ops_.Mount(tape, &breakdown);
       const double end = clock_ + switch_seconds;
       // During the switch the committed head is the post-load position.
       DeliverArrivalsUpTo(end, jukebox_->head());
@@ -401,44 +351,20 @@ SimulationResult Simulator::Run() {
     const double read_start = clock_;
     const std::optional<ServiceEntry> entry = scheduler_->PopNext();
     TJ_CHECK(entry.has_value());
-    ReadBreakdown read_breakdown;
-    double op_seconds = jukebox_->ReadBlockAt(entry->position,
-                                              &read_breakdown);
+    read_segments_.clear();
+    const DriveOps::BlockRead read =
+        ops_.Read(jukebox_->drive(), entry->position, clock_,
+                  jukebox_->mutable_counters(), &read_segments_);
     // Locate/read segments of every attempt, in temporal order.
-    double op_t = clock_ + read_breakdown.locate;
-    accounting.ChargeTo(0, obs::DriveActivity::kLocating, op_t);
-    op_t += read_breakdown.read;
-    accounting.ChargeTo(0, obs::DriveActivity::kReading, op_t);
-    ReadOutcome outcome;
-    if (faults != nullptr) {
-      outcome = faults->NextReadOutcome();
-      // Each transient retry waits out its (jittered, exponentially
-      // growing) backoff, then locates back to the block start and
-      // re-reads. Backoff waits are charged as locating time.
-      for (int r = 0; r < outcome.retries; ++r) {
-        const double backoff = faults->NextRetryBackoff(r);
-        if (backoff > 0) {
-          op_seconds += backoff;
-          op_t += backoff;
-          accounting.ChargeTo(0, obs::DriveActivity::kLocating, op_t);
-        }
-        op_seconds += jukebox_->ReadBlockAt(entry->position,
-                                            &read_breakdown);
-        op_t += read_breakdown.locate;
-        accounting.ChargeTo(0, obs::DriveActivity::kLocating, op_t);
-        op_t += read_breakdown.read;
-        accounting.ChargeTo(0, obs::DriveActivity::kReading, op_t);
-      }
-      fault_stats.transient_read_errors +=
-          outcome.retries + (outcome.escalated ? 1 : 0);
-      fault_stats.read_retries += outcome.retries;
-      if (outcome.escalated) ++fault_stats.reads_escalated;
+    for (const auto& [activity, until] : read_segments_) {
+      accounting.ChargeTo(0, activity, until);
     }
-    const double end = clock_ + op_seconds;
+    const ReadOutcome& outcome = read.outcome;
+    const double end = clock_ + read.seconds;
     // Arrivals during the operation see the head the drive is committed to.
     DeliverArrivalsUpTo(end, jukebox_->head());
     // Absorb any accumulation drift between the per-segment charges and
-    // op_seconds into the final reading segment.
+    // the read's seconds into the final reading segment.
     accounting.ChargeTo(0, obs::DriveActivity::kReading, end);
     clock_ = end;
     mark_warmup();
@@ -450,8 +376,12 @@ SimulationResult Simulator::Run() {
 
     if (outcome.permanent_error) {
       // The media under this read is gone: mask it and fail the requests
-      // over to surviving replicas (or fail them outright).
-      HandlePermanentError(*entry, outcome.whole_tape);
+      // over to surviving replicas (or fail them outright), then fail the
+      // pending requests whose last replica just died.
+      LoseMedia(jukebox_->mounted_tape(), entry->block, outcome.whole_tape,
+                clock_);
+      for (const Request& request : entry->requests) Requeue(request);
+      EvictUnservable();
       continue;
     }
 
@@ -463,23 +393,27 @@ SimulationResult Simulator::Run() {
           recorder->RequestDone(request.id, obs::RequestOutcome::kCompleted,
                                 clock_);
         }
-        repair_->OnSourceReadComplete(request.block, clock_);
+        repair_->OnSourceReadComplete(request.block);
         continue;
       }
       Route(life_.Complete(request, clock_), jukebox_->head());
     }
-    if (after_read_) AfterRead(read_start, *entry);
+    for (BackgroundWork* work : background_) {
+      work->AfterRead(*entry, read_start, clock_);
+    }
+    if (!background_.empty() && scheduler_->sweep_empty()) {
+      // The sweep just drained and the drive is still on its tape: a
+      // failed drive is repaired, then background work piggybacks.
+      AdvancePastDriveRepairs();
+      Piggyback(BackgroundWork::Boundary::kSweepDrained);
+    }
   }
   // A run that ends before the warm-up boundary marks it at the final
   // counters, as MultiDriveSimulator does: nothing is measured.
   life_.MaybeMarkWarmup(std::numeric_limits<double>::infinity(),
                         jukebox_->counters());
-  if (fill_.has_value()) fill_->FinishAt(clock_);
   SimulationResult result = life_.Finish(clock_, jukebox_->counters());
-  if (repair_.has_value()) {
-    result.repair_enabled = true;
-    result.repair = repair_->Finalize();
-  }
+  for (BackgroundWork* work : background_) work->Finish(clock_, &result);
   return result;
 }
 

@@ -11,13 +11,15 @@
 //   4. When nothing is pending, wait for an arrival (open model).
 //
 // Background work shares the drive through the same loop: scrub/repair
-// quanta, the write path's flushes (WritePath) and the §4.8 replica fill
-// (ReplicaFill). Each background operation delivers the arrivals it
-// overlaps, is charged as background time and may cross the warm-up
-// boundary, exactly like a read. Piggybacked flushes and fills run right
-// after the completions of a sweep's last entry, idle ones in step 4, and
-// a forced flush (the write buffer is over capacity) before anything else
-// once the sweep is empty.
+// (RepairManager), the write path's flushes (WritePath) and the §4.8
+// replica fill (ReplicaFill) are BackgroundWork components the loop calls
+// in a fixed order without knowing which kinds are engaged. Each
+// background step delivers the arrivals it overlaps, is charged as
+// background time and may cross the warm-up boundary, exactly like a
+// read. Forced work (the write buffer is over capacity) runs before
+// anything else once the sweep is empty; piggybacked work runs at the
+// sweep boundaries (after a sweep's last read, before a major
+// reschedule); idle work runs in step 4, one quantum at a time.
 //
 // Arrivals that occur while a locate/read/switch is in flight are delivered
 // at their exact timestamps with the *committed head* — the head position
@@ -38,6 +40,8 @@
 
 #include "layout/catalog.h"
 #include "sched/scheduler.h"
+#include "sim/background.h"
+#include "sim/drive_ops.h"
 #include "sim/lifecycle.h"
 #include "sim/metrics.h"
 #include "sim/repair.h"
@@ -123,36 +127,37 @@ class Simulator {
   /// source reads are handed back to the repair manager.
   void EvictUnservable();
 
-  /// Masks the media lost by a permanent error during the read of `entry`
-  /// on the mounted tape and fails over every displaced request.
-  void HandlePermanentError(const ServiceEntry& entry, bool whole_tape);
+  /// Masks the media a permanent error destroyed (the replica of `block`
+  /// on `tape`, or the whole tape), fails the rest of the sweep over when
+  /// the tape died, and tells every background component at `now`.
+  void LoseMedia(TapeId tape, BlockId block, bool whole_tape, double now);
 
   /// Spends `seconds` of drive time from the clock in `activity`: delivers
   /// the arrivals it overlaps, charges it and marks warm-up. Background
   /// work and drive repairs use it.
   void AdvanceDrive(double seconds, obs::DriveActivity activity);
 
-  /// Switches the drive to `tape`; with fault injection each robot slip
-  /// repeats the robot move (added to the seconds and `breakdown->robot`).
-  double SwitchTo(TapeId tape, SwitchBreakdown* breakdown);
+  /// Idles the drive until `time` and delivers the arrivals up to it.
+  void IdleUntil(double time);
 
-  /// Mounts `tape` for background work (a switch, run as background).
-  void MountForBackground(TapeId tape);
+  /// Spends a background quantum's mount, then its work; media its read
+  /// lost is masked and the requests left unservable are evicted.
+  void RunQuantum(const BackgroundWork::Quantum& quantum);
 
-  /// Mounts the dirtiest tape and cleans it.
-  void FlushDirtiest(WritePath::Flush reason);
+  /// Runs forced background work if any component has some due (the
+  /// drive repaired first); returns whether it ran.
+  bool RunForcedWork();
 
-  /// Earliest time >= clock_ at which the idle drive has background work.
-  double NextIdleWorkTime() const;
+  /// Lets every component piggyback on the mounted tape at `boundary`.
+  void Piggyback(BackgroundWork::Boundary boundary);
 
-  /// Runs one idle background operation: a scrub/repair quantum, an idle
-  /// flush or an idle fill.
-  void RunIdleWork();
+  /// The next arrival, or the next closed-model process wake-up.
+  double NextClientEvent();
 
-  /// After a client read that started at `read_start`: stages the writes
-  /// that arrived by then, feeds the fill's epoch series, and piggybacks a
-  /// flush or fill when the sweep just drained.
-  void AfterRead(double read_start, const ServiceEntry& entry);
+  /// Step 4 with background work: runs one idle quantum, or wakes for work
+  /// due before `next_event`, the next client event. False when neither
+  /// applies.
+  bool RunIdleWork(double next_event);
 
   /// Lazily processes drive-failure epochs that the clock has passed: each
   /// charges an Exponential(MTTR) repair during which the drive is down
@@ -164,16 +169,19 @@ class Simulator {
   /// The shared request lifecycle: metrics, recorder, timeline, faults,
   /// admission, deadlines and the closed model's processes.
   RequestLifecycle life_;
-  /// Engaged iff the config enables repair (which implies fault injection).
+  /// The drive primitives every read, mount and background write uses.
+  DriveOps ops_;
+  /// The spare-slot ledger; engaged iff repair or the fill is.
+  std::optional<SpareSlots> spare_;
+  /// Engaged iff the config enables repair (which implies fault injection),
+  /// writes or the fill (at most one of the three is).
   std::optional<RepairManager> repair_;
-  /// Engaged iff config.writes / config.fill is enabled (at most one of
-  /// the three background components is).
   std::optional<WritePath> writes_;
   std::optional<ReplicaFill> fill_;
-  /// Any background component is engaged (step 4 consults it).
-  bool background_ = false;
-  /// Writes or fill is engaged: AfterRead runs after every client read.
-  bool after_read_ = false;
+  /// The engaged components, in the fixed order repair, writes, fill.
+  std::vector<BackgroundWork*> background_;
+  /// Time-in-state segments of the client read in flight.
+  DriveSegments read_segments_;
   double next_drive_failure_ = 0;  ///< absolute time; only with MTBF > 0
   bool drive_faults_ = false;
 

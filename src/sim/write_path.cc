@@ -1,9 +1,7 @@
 #include "sim/write_path.h"
 
 #include <algorithm>
-#include <vector>
 
-#include "sched/schedule_cost.h"
 #include "util/check.h"
 
 namespace tapejuke {
@@ -22,10 +20,11 @@ Status WritePathConfig::Validate() const {
 }
 
 WritePath::WritePath(const WritePathConfig& config, Jukebox* jukebox,
-                     const Catalog* catalog, uint64_t seed)
+                     const Catalog* catalog, DriveOps* ops, uint64_t seed)
     : config_(config),
       jukebox_(jukebox),
       catalog_(catalog),
+      ops_(ops),
       rng_(seed ^ 0x9e3779b97f4a7c15ULL),
       next_arrival_(rng_.Exponential(config.mean_write_interarrival_seconds)) {
   TJ_CHECK(config.enabled());
@@ -62,11 +61,6 @@ void WritePath::AcceptWrite(BlockId block) {
       std::max(stats_.max_buffer_occupancy, buffer_occupancy_);
 }
 
-double WritePath::NextIdleWorkTime(double now) const {
-  if (config_.piggyback && buffer_occupancy_ > 0) return now;
-  return next_arrival_;
-}
-
 TapeId WritePath::DirtiestTape() const {
   TapeId best = kInvalidTape;
   size_t best_count = 0;
@@ -79,44 +73,77 @@ TapeId WritePath::DirtiestTape() const {
   return best;
 }
 
-double WritePath::PiggybackFlush() {
-  if (!config_.piggyback) return 0;
+void WritePath::WriteNext(TapeId tape, double* seconds) {
+  TJ_CHECK_EQ(jukebox_->mounted_tape(), tape);
+  const auto it = dirty_.find(tape);
+  std::set<Position>& positions = it->second;
+  auto next = positions.lower_bound(jukebox_->head());
+  if (next == positions.end()) --next;
+  ops_->Write(*next, seconds);
+  ++stats_.blocks_flushed;
+  --buffer_occupancy_;
+  positions.erase(next);
+  if (positions.empty()) dirty_.erase(it);
+}
+
+double WritePath::FlushTape(TapeId tape) {
+  double elapsed = 0;
+  while (dirty_.contains(tape)) WriteNext(tape, &elapsed);
+  stats_.write_seconds += elapsed;
+  return elapsed;
+}
+
+void WritePath::AfterRead(const ServiceEntry& /*entry*/, double start,
+                          double /*now*/) {
+  DeliverUpTo(start);
+}
+
+BackgroundWork::Quantum WritePath::ForcedWork(double now) {
+  DeliverUpTo(now);
+  Quantum quantum;
+  if (buffer_occupancy_ <= config_.buffer_capacity_blocks) return quantum;
+  const TapeId tape = DirtiestTape();
+  ++stats_.forced_flushes;
+  quantum.mount_seconds = ops_->Mount(tape);
+  quantum.seconds = FlushTape(tape);
+  return quantum;
+}
+
+double WritePath::Piggyback(Boundary boundary, double /*now*/) {
+  if (!config_.piggyback || boundary != Boundary::kSweepDrained) return 0;
   const TapeId mounted = jukebox_->mounted_tape();
   const auto it = dirty_.find(mounted);
   if (it == dirty_.end() ||
       static_cast<int64_t>(it->second.size()) < config_.piggyback_min_blocks) {
     return 0;
   }
-  return FlushTape(mounted, Flush::kPiggyback);
+  ++stats_.piggyback_flushes;
+  return FlushTape(mounted);
 }
 
-double WritePath::FlushTape(TapeId tape, Flush reason) {
-  switch (reason) {
-    case Flush::kPiggyback: ++stats_.piggyback_flushes; break;
-    case Flush::kIdle: ++stats_.idle_flushes; break;
-    case Flush::kForced: ++stats_.forced_flushes; break;
-  }
-  const auto it = dirty_.find(tape);
-  if (it == dirty_.end() || it->second.empty()) return 0;
-  TJ_CHECK_EQ(jukebox_->mounted_tape(), tape);
-  std::vector<Position> positions(it->second.begin(), it->second.end());
-  const std::vector<Position> order =
-      ScheduleCost::SweepOrder(jukebox_->head(), std::move(positions));
-  double elapsed = 0;
-  Drive& drive = jukebox_->drive();
-  for (const Position p : order) {
-    elapsed += drive.LocateTo(p);
-    elapsed += drive.Read(jukebox_->config().block_size_mb);  // write ~ read
-    ++stats_.blocks_flushed;
-  }
-  buffer_occupancy_ -= static_cast<int64_t>(it->second.size());
-  TJ_CHECK_GE(buffer_occupancy_, 0);
-  dirty_.erase(it);
-  stats_.write_seconds += elapsed;
-  return elapsed;
+double WritePath::NextIdleWorkTime(double now) const {
+  if (config_.piggyback && buffer_occupancy_ > 0) return now;
+  return next_arrival_;
 }
 
-void WritePath::OnMediaLost(TapeId tape, BlockId block, bool whole_tape) {
+BackgroundWork::Quantum WritePath::IdleQuantum(double /*now*/) {
+  Quantum quantum;
+  if (!dirty_.contains(idle_tape_)) {
+    idle_tape_ = DirtiestTape();
+    ++stats_.idle_flushes;
+  }
+  if (jukebox_->mounted_tape() != idle_tape_) {
+    quantum.mount_seconds = ops_->Mount(idle_tape_);
+    return quantum;
+  }
+  WriteNext(idle_tape_, &quantum.seconds);
+  stats_.write_seconds += quantum.seconds;
+  return quantum;
+}
+
+void WritePath::OnMediaLost(TapeId tape, BlockId block, bool whole_tape,
+                            const std::vector<BlockId>& /*newly_masked*/,
+                            double /*now*/) {
   const auto it = dirty_.find(tape);
   if (it == dirty_.end()) return;
   if (whole_tape) {

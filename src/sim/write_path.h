@@ -6,17 +6,20 @@
 //
 // Writes complete instantly from the client's view: they land in a bounded
 // disk buffer and dirty every tape position holding a live replica of the
-// written block. Dirty data reaches tape three ways, each a background
-// operation of the Simulator's one event loop:
+// written block. Dirty data reaches tape three ways, each background work
+// of the Simulator's one event loop:
 //
 //   * piggyback flush — when a read sweep on tape t finishes, the drive is
 //     already positioned there: append a write pass over t's dirty
 //     positions before the next reschedule;
 //   * idle flush — with piggybacking on, when no reads are pending, mount
-//     and clean the dirtiest tape;
+//     the dirtiest tape and clean it one block per quantum, so a read
+//     arriving mid-flush waits for at most one block write;
 //   * forced flush — when the buffer exceeds its capacity, reads wait
 //     while the dirtiest tapes are cleaned (the interference the buffer is
 //     meant to avoid).
+//
+// Tape writes draw no faults.
 
 #ifndef TAPEJUKE_SIM_WRITE_PATH_H_
 #define TAPEJUKE_SIM_WRITE_PATH_H_
@@ -24,8 +27,11 @@
 #include <cstdint>
 #include <map>
 #include <set>
+#include <vector>
 
 #include "layout/catalog.h"
+#include "sim/background.h"
+#include "sim/drive_ops.h"
 #include "tape/jukebox.h"
 #include "util/rng.h"
 #include "util/status.h"
@@ -61,54 +67,51 @@ struct WritePathStats {
   int64_t dirty_updates_created = 0;  ///< replica positions dirtied
   int64_t blocks_flushed = 0;
   int64_t piggyback_flushes = 0;  ///< flush passes appended to read sweeps
-  int64_t idle_flushes = 0;
+  int64_t idle_flushes = 0;  ///< idle flushes begun (one tape each)
   int64_t forced_flushes = 0;
   int64_t max_buffer_occupancy = 0;
   double write_seconds = 0;  ///< drive time spent locating + writing
 };
 
 /// The write path's policy and state: the write-arrival stream, the dirty
-/// map and the staging buffer. Owned by the Simulator, which calls it from
-/// its event loop; every method that moves the drive returns the drive
-/// seconds it took and leaves the clock to the caller.
-class WritePath {
+/// map and the staging buffer. One of the Simulator's background
+/// components; it moves the drive only through the shared DriveOps.
+class WritePath : public BackgroundWork {
  public:
   /// All pointers must outlive the write path. `seed` is the run's
   /// workload seed; the write stream draws from its own RNG derived from
   /// it, so reads are unaffected by the write rate.
   WritePath(const WritePathConfig& config, Jukebox* jukebox,
-            const Catalog* catalog, uint64_t seed);
+            const Catalog* catalog, DriveOps* ops, uint64_t seed);
 
   /// Stages every write arriving at or before `now`, in arrival order.
   void DeliverUpTo(double now);
 
-  /// True when the staging buffer is over capacity (a forced flush is due).
-  bool over_capacity() const {
-    return buffer_occupancy_ > config_.buffer_capacity_blocks;
-  }
-
-  /// Earliest time >= `now` at which an idle drive has write work: `now`
-  /// when an idle flush is due, else the next write arrival (which may
-  /// overfill the buffer).
-  double NextIdleWorkTime(double now) const;
-
   /// Tape with the most dirty updates, or kInvalidTape.
   TapeId DirtiestTape() const;
 
-  /// Why a flush runs; selects its WritePathStats counter.
-  enum class Flush { kPiggyback, kIdle, kForced };
+  /// Writes out all dirty positions of `tape`, which must be mounted when
+  /// it has any, in one sweep from the head; returns the drive seconds.
+  double FlushTape(TapeId tape);
 
-  /// Writes out all dirty positions of `tape`, which must be mounted;
-  /// returns the drive seconds.
-  double FlushTape(TapeId tape, Flush reason);
-
-  /// The sweep on the mounted tape just drained: cleans the tape when it
-  /// holds at least piggyback_min_blocks dirty updates. Returns seconds.
-  double PiggybackFlush();
-
-  /// A permanent media error masked the replica of `block` on `tape`, or
-  /// the whole tape: its dirt can never be written and is dropped.
-  void OnMediaLost(TapeId tape, BlockId block, bool whole_tape);
+  /// The lost media's dirt can never be written: dropped.
+  void OnMediaLost(TapeId tape, BlockId block, bool whole_tape,
+                   const std::vector<BlockId>& newly_masked,
+                   double now) override;
+  /// Stages the writes that arrived by the read's start.
+  void AfterRead(const ServiceEntry& entry, double start,
+                 double now) override;
+  /// Over capacity: mounts the dirtiest tape and cleans it while reads wait.
+  Quantum ForcedWork(double now) override;
+  /// A sweep just drained: cleans the mounted tape when it holds at least
+  /// piggyback_min_blocks dirty updates.
+  double Piggyback(Boundary boundary, double now) override;
+  /// `now` when an idle flush is due, else the next write arrival (which
+  /// may overfill the buffer).
+  double NextIdleWorkTime(double now) const override;
+  /// The idle flush: mounts the dirtiest tape, then cleans it one block per
+  /// quantum.
+  Quantum IdleQuantum(double now) override;
 
   const WritePathStats& stats() const { return stats_; }
 
@@ -119,14 +122,22 @@ class WritePath {
   /// Stages a write to `block`: dirties each of its live replicas.
   void AcceptWrite(BlockId block);
 
+  /// Writes the next dirty position of the mounted `tape` in sweep order
+  /// from the head (the first at or past it, else the highest below it)
+  /// and adds its seconds to `*seconds`.
+  void WriteNext(TapeId tape, double* seconds);
+
   WritePathConfig config_;
   Jukebox* jukebox_;
   const Catalog* catalog_;
+  DriveOps* ops_;
   Rng rng_;
   double next_arrival_;
 
   std::map<TapeId, std::set<Position>> dirty_;
   int64_t buffer_occupancy_ = 0;
+  /// The tape the idle flush in progress is cleaning.
+  TapeId idle_tape_ = kInvalidTape;
   WritePathStats stats_;
 };
 

@@ -78,7 +78,7 @@ double Jukebox::SwitchTo(TapeId target, SwitchBreakdown* breakdown) {
   return elapsed;
 }
 
-double Jukebox::ReadBlockAt(Position position, ReadBreakdown* breakdown) {
+double Jukebox::ReadBlockAt(Position position) {
   TJ_CHECK(drive_.has_tape()) << "read with no tape mounted";
   const double locate = drive_.LocateTo(position);
   counters_.locate_seconds += locate;
@@ -86,10 +86,6 @@ double Jukebox::ReadBlockAt(Position position, ReadBreakdown* breakdown) {
   counters_.read_seconds += read;
   ++counters_.blocks_read;
   counters_.mb_read += config_.block_size_mb;
-  if (breakdown != nullptr) {
-    breakdown->locate = locate;
-    breakdown->read = read;
-  }
   return locate + read;
 }
 

@@ -45,13 +45,6 @@ struct SwitchBreakdown {
   double load = 0;
 };
 
-/// Component timing of one ReadBlockAt call.
-/// locate + read == the seconds ReadBlockAt returned.
-struct ReadBreakdown {
-  double locate = 0;
-  double read = 0;
-};
-
 /// Configuration for Jukebox construction.
 struct JukeboxConfig {
   int32_t num_tapes = 10;
@@ -98,9 +91,8 @@ class Jukebox {
 
   /// Locates to `position` on the mounted tape and reads one block
   /// (config().block_size_mb MB). Updates counters. Returns elapsed
-  /// seconds; when `breakdown` is non-null the locate/read split is
-  /// stored there (zeroed first).
-  double ReadBlockAt(Position position, ReadBreakdown* breakdown = nullptr);
+  /// seconds.
+  double ReadBlockAt(Position position);
 
   /// Rewinds the mounted tape (explicit idle-time rewind). Returns seconds.
   double Rewind();
@@ -110,6 +102,9 @@ class Jukebox {
   double ChargeRobotRetries(int count);
 
   const JukeboxCounters& counters() const { return counters_; }
+  /// For the shared drive primitives (DriveOps), which count the reads
+  /// they make on this jukebox's drive.
+  JukeboxCounters* mutable_counters() { return &counters_; }
   void ResetCounters() { counters_ = JukeboxCounters{}; }
 
   /// Number of slots per tape for this configuration.

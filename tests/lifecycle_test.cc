@@ -9,6 +9,8 @@
 #include "sched/envelope_scheduler.h"
 #include "sim/multi_drive.h"
 #include "sim/simulator.h"
+#include "sim/workload.h"
+#include "test_util.h"
 
 namespace tapejuke {
 namespace {
@@ -189,6 +191,27 @@ TEST(Lifecycle, OpenModelIdleFillStillServesReads) {
     EXPECT_GT(row.t, last);
     last = row.t;
   }
+}
+
+TEST(Lifecycle, ReadArrivingMidIdleFillWaitsAtMostOneBlockWrite) {
+  // The drive is idle from t = 0, so the fill mounts the neediest tape and
+  // writes its replicas one per quantum (the budget is no bound here). The
+  // first read arrives mid-fill and is scheduled once the replica write in
+  // flight ends.
+  Rig rig;
+  SimulationConfig config = LongSim(/*budget=*/1e9);
+  config.workload.model = QueuingModel::kOpen;
+  config.workload.mean_interarrival_seconds = 3'000;
+  config.duration_seconds = 20'000;
+  config.obs.decision_log = ::testing::TempDir() + "lifecycle_preempt.jsonl";
+  // The simulator's first workload draw is the first arrival's gap.
+  WorkloadGenerator workload(&*rig.catalog, config.workload);
+  const double arrival = workload.NextArrivalGap(0.0);
+  Simulator sim(&rig.jukebox, &*rig.catalog, &*rig.scheduler, config);
+  sim.Run();
+  const double start = FirstDecisionTime(config.obs.decision_log);
+  EXPECT_GE(start, arrival);
+  EXPECT_LE(start - arrival, MaxBlockWrite(rig.jukebox));
 }
 
 TEST(Catalog, AddReplicaExtendsBlock) {

@@ -197,6 +197,25 @@ TEST(RepairEndToEnd, DetectionOnlyScrubRepairsNothing) {
   EXPECT_GT(sim.faults.replicas_masked, 0);
 }
 
+TEST(RepairEndToEnd, ScrubReadsPayTheRetryBackoff) {
+  // No client read arrives, so every read is a scrub read. Each transient
+  // retry waits out at least half of base * 2^k before it re-reads, as a
+  // client read's does, and the wait is scrub time.
+  ExperimentConfig config = RepairExperiment(3);
+  config.sim.workload.mean_interarrival_seconds = 1e12;
+  config.sim.faults.transient_read_error_prob = 0.5;
+  config.sim.faults.max_read_retries = 8;
+  config.sim.faults.retry_backoff_base_seconds = 1'000;
+  config.sim.repair.enable_repair = false;
+  const SimulationResult sim = ExperimentRunner::Run(config).value().sim;
+  ASSERT_TRUE(sim.repair_enabled);
+  EXPECT_EQ(sim.issued_requests, 0);
+  ASSERT_GT(sim.faults.read_retries, 0);
+  EXPECT_GE(sim.repair.scrub_seconds,
+            0.5 * config.sim.faults.retry_backoff_base_seconds *
+                static_cast<double>(sim.faults.read_retries));
+}
+
 TEST(RepairEndToEnd, TokenBucketBoundsBackgroundIO) {
   // A hard token-bucket invariant: total background I/O (scrub reads +
   // repair writes, in MB) never exceeds burst + rate * elapsed.

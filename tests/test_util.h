@@ -4,7 +4,10 @@
 #define TAPEJUKE_TESTS_TEST_UTIL_H_
 
 #include <algorithm>
+#include <fstream>
+#include <limits>
 #include <map>
+#include <string>
 #include <vector>
 
 #include "layout/catalog.h"
@@ -65,6 +68,27 @@ class TinyRig {
 
   Jukebox jukebox_;
 };
+
+/// The longest one block write (or read) can take on `jukebox`: a locate
+/// across the whole tape, then the block.
+inline double MaxBlockWrite(const Jukebox& jukebox) {
+  const TimingModel& model = jukebox.model();
+  const Position end = jukebox.config().timing.tape_capacity_mb;
+  const int64_t mb = jukebox.config().block_size_mb;
+  return std::max(model.LocateAndReadTime(0, end, mb),
+                  model.LocateAndReadTime(end, 0, mb));
+}
+
+/// The time of the first major reschedule in the decision log at `path`
+/// (+infinity when it has none).
+inline double FirstDecisionTime(const std::string& path) {
+  std::ifstream in(path);
+  std::string line;
+  if (!std::getline(in, line)) return std::numeric_limits<double>::infinity();
+  const size_t at = line.find("\"t\":");
+  TJ_CHECK(at != std::string::npos) << line;
+  return std::stod(line.substr(at + 4));
+}
 
 }  // namespace tapejuke
 

@@ -8,6 +8,7 @@
 #include "layout/placement.h"
 #include "sched/greedy_scheduler.h"
 #include "sim/simulator.h"
+#include "test_util.h"
 
 namespace tapejuke {
 namespace {
@@ -199,19 +200,44 @@ TEST(WritePath, OpenModelIdleFlushStillServesReads) {
   }
 }
 
+TEST(WritePath, ReadArrivingMidIdleFlushWaitsAtMostOneBlockWrite) {
+  // Writes arrive far faster than the drive cleans them and the buffer is
+  // never over capacity, so the idle drive is always flushing a tape with
+  // many dirty blocks. The idle flush runs one block per quantum: a read
+  // arriving mid-flush is scheduled once the block write in flight ends.
+  Rig rig;
+  SimulationConfig config = WithWrites(2, QueuingModel::kOpen);
+  config.writes.buffer_capacity_blocks = 1'000'000;
+  config.duration_seconds = 40'000;
+  config.warmup_seconds = 0;
+  config.obs.decision_log = ::testing::TempDir() + "write_path_preempt.jsonl";
+  const double arrival = 30'000;
+  Request read;
+  read.block = 0;
+  read.arrival_time = arrival;
+  Simulator sim(&rig.jukebox, &rig.catalog, &rig.scheduler, config, {read});
+  const SimulationResult result = sim.Run();
+  EXPECT_EQ(result.completed_total, 1);
+  EXPECT_GT(sim.writes()->stats().max_buffer_occupancy, 1000);
+  const double start = FirstDecisionTime(config.obs.decision_log);
+  EXPECT_GE(start, arrival);
+  EXPECT_LE(start - arrival, MaxBlockWrite(rig.jukebox));
+}
+
 TEST(WritePath, WritesDirtyOnlyLiveReplicas) {
   Rig rig(/*num_replicas=*/9);
   WritePathConfig config;
   config.mean_write_interarrival_seconds = 10;
   config.hot_write_fraction = 1.0;
   rig.catalog.MarkTapeDead(0);
-  WritePath writes(config, &rig.jukebox, &rig.catalog, /*seed=*/7);
+  DriveOps ops(&rig.jukebox, nullptr, nullptr);
+  WritePath writes(config, &rig.jukebox, &rig.catalog, &ops, /*seed=*/7);
   writes.DeliverUpTo(100'000);
   ASSERT_GT(writes.buffer_occupancy(), 0);
   EXPECT_NE(writes.DirtiestTape(), 0);
   // Nothing to write on the dead tape (FlushTape returns before touching
   // the drive when the tape holds no dirt).
-  EXPECT_EQ(writes.FlushTape(0, WritePath::Flush::kForced), 0.0);
+  EXPECT_EQ(writes.FlushTape(0), 0.0);
 }
 
 TEST(WritePath, MaskedReplicasDropTheirDirt) {
@@ -219,22 +245,24 @@ TEST(WritePath, MaskedReplicasDropTheirDirt) {
   WritePathConfig config;
   config.mean_write_interarrival_seconds = 10;
   config.hot_write_fraction = 1.0;
-  WritePath writes(config, &rig.jukebox, &rig.catalog, /*seed=*/7);
+  DriveOps ops(&rig.jukebox, nullptr, nullptr);
+  WritePath writes(config, &rig.jukebox, &rig.catalog, &ops, /*seed=*/7);
   writes.DeliverUpTo(100'000);  // ~10,000 hot writes: every copy dirty
   const int64_t before = writes.buffer_occupancy();
 
   // One replica of hot block 0 lost: its one dirty update goes.
   const TapeId tape = rig.catalog.ReplicasOf(0)[1].tape;
   ASSERT_TRUE(rig.catalog.MarkReplicaDead(0, tape));
-  writes.OnMediaLost(tape, 0, /*whole_tape=*/false);
+  writes.OnMediaLost(tape, 0, /*whole_tape=*/false, {}, /*now=*/0);
   EXPECT_EQ(writes.buffer_occupancy(), before - 1);
 
   // A whole tape lost: all of its dirt goes, and nothing is left to write.
   const TapeId dead = writes.DirtiestTape();
   rig.catalog.MarkTapeDead(dead);
-  writes.OnMediaLost(dead, kInvalidBlock, /*whole_tape=*/true);
+  writes.OnMediaLost(dead, kInvalidBlock, /*whole_tape=*/true, {},
+                     /*now=*/0);
   EXPECT_LT(writes.buffer_occupancy(), before - 1);
-  EXPECT_EQ(writes.FlushTape(dead, WritePath::Flush::kForced), 0.0);
+  EXPECT_EQ(writes.FlushTape(dead), 0.0);
 }
 
 TEST(WritePath, RunsUnderFaultInjection) {

@@ -19,7 +19,9 @@ Checks the structural invariants docs/OBSERVABILITY.md promises:
 
 With --results RESULTS.json, cross-checks the summary's final counters
 against the whole-run conservation totals of the results document (e.g.
-cumulative shed in the timeline == shed_requests in results JSON).
+cumulative shed in the timeline == shed_requests in results JSON), and
+each state_<name> accum summed over the rows against that state's
+time_in_state seconds summed over the document's drives.
 
 Usage: timeline_check.py TIMELINE.jsonl [--results RESULTS.json]
                          [--point N]
@@ -36,6 +38,9 @@ TOOL = "timeline_check"
 
 # Accum deltas subtract consecutive cumulative doubles; allow float noise.
 ACCUM_EPSILON = 1e-6
+# Summed state accums match the results' time-in-state up to the rounding
+# of the per-row deltas.
+STATE_RTOL = 1e-9
 # Summary peaks are recomputed from the rows' serialized doubles, which
 # round-trip exactly; equality should be exact, but compare with a tiny
 # relative tolerance to stay robust to repr differences.
@@ -98,6 +103,8 @@ def check_timeline(path):
         fail("%s:%d: last line is not a summary" % (path, number))
 
     samples = 0
+    state_totals = {name: 0.0 for name in names["accums"]
+                    if name.startswith("state_")}
     last_t = {}         # box -> last sample time
     last_counters = {}  # box -> last cumulative counter values
     boxes = []          # box ids in first-row order
@@ -153,6 +160,8 @@ def check_timeline(path):
             delta = accums[name]
             if not is_finite_number(delta) or delta < -ACCUM_EPSILON:
                 fail("%s: accum %s has bad delta %r" % (where, name, delta))
+            if name in state_totals:
+                state_totals[name] += delta
 
         windows = row.get("windows")
         check_names(where, windows, names["windows"], "windows")
@@ -204,25 +213,42 @@ def check_timeline(path):
             fail("%s: summary final counter %s = %r, but the boxes' last "
                  "rows sum to %d" % (where, name, final[name], total))
 
-    return samples, len(boxes), final
+    return samples, len(boxes), final, state_totals
 
 
-def check_results(results_path, point, final_counters):
+def check_time_in_state(results_path, point, result, state_totals):
+    drives = result.get("time_in_state")
+    if not state_totals or not isinstance(drives, list) or not drives:
+        return 0
+    for name, total in sorted(state_totals.items()):
+        state = name[len("state_"):]
+        expected = sum(drive.get(state, 0) for drive in drives)
+        if abs(total - expected) > STATE_RTOL * max(1.0, abs(expected)):
+            fail("timeline %s sums to %r, but time_in_state %s in %s point "
+                 "%d sums to %r over %d drives"
+                 % (name, total, state, results_path, point, expected,
+                    len(drives)))
+    return len(state_totals)
+
+
+def check_results(results_path, point, final_counters, state_totals):
     doc = load_json_file(TOOL, results_path)
     result = results_point(TOOL, doc, point)
     checkable = [key for _, key in RESULTS_KEYS if key in result]
-    if not checkable:
-        fail("%s: point %d has no conservation counters to cross-check "
-             "(no fault/overload block)" % (results_path, point))
     for counter, key in RESULTS_KEYS:
-        if counter not in final_counters:
+        # Without any conservation block there is no total to compare.
+        if counter not in final_counters or not checkable:
             continue
         expected = result.get(key, 0)
         if final_counters[counter] != expected:
             fail("timeline final counter %s = %d, but %s in %s point %d "
                  "is %r" % (counter, final_counters[counter], key,
                             results_path, point, expected))
-    return len(checkable)
+    states = check_time_in_state(results_path, point, result, state_totals)
+    if not checkable and not states:
+        fail("%s: point %d has no conservation counters or time_in_state "
+             "to cross-check" % (results_path, point))
+    return len(checkable) + states
 
 
 def main():
@@ -237,14 +263,15 @@ def main():
                              "default --trace-point)")
     args = parser.parse_args()
 
-    samples, num_boxes, final = check_timeline(args.timeline)
+    samples, num_boxes, final, state_totals = check_timeline(args.timeline)
     summary = "timeline_check: OK: %d samples" % samples
     if num_boxes > 1:
         summary += ", %d boxes" % num_boxes
     summary += ", completed=%d" % final.get("completed", 0)
     if args.results is not None:
-        crossed = check_results(args.results, args.point, final)
-        summary += ", %d results counters cross-checked" % crossed
+        crossed = check_results(args.results, args.point, final,
+                                state_totals)
+        summary += ", %d results totals cross-checked" % crossed
     print(summary)
 
 
